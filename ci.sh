@@ -11,15 +11,14 @@ cargo build --release --offline --workspace
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== perfbench tests (offline; perfbench is outside the workspace) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench targets compile (offline) =="
 cargo check -q --offline --workspace --benches
 
 echo "== bench smoke: engine runs end to end (offline, 1 sample) =="
 cargo bench -q --offline -p rader-bench --bench engine -- --samples 1 --warmup 0
-
-echo "== bench smoke: deque_scaling and sweep_chunking run end to end =="
-cargo bench -q --offline -p rader-bench --bench scaling -- deque_scaling --samples 1 --warmup 0
-cargo bench -q --offline -p rader-bench --bench scaling -- sweep_chunking --samples 1 --warmup 0
 
 echo "== suite smoke: JSON report validates, racy entry exits nonzero =="
 RADER=target/release/rader
@@ -27,10 +26,6 @@ SUITE_JSON=target/suite-smoke.json
 SUITE_OUT=target/suite-smoke.out
 "$RADER" suite --threads 2 --json "$SUITE_JSON" >"$SUITE_OUT"
 
-echo "== scaling smoke: pool steals and chunked claims are live =="
-# The suite prints a pool-smoke line from a spawn-heavy calibration run;
-# at 2 workers the Chase-Lev pool must record at least one steal.
-grep -Eq 'pool-smoke: .*steals=[1-9]' "$SUITE_OUT"
 # Chunked claiming: every workload claims spec chunks, and family
 # batching makes that strictly fewer claims than runs for update-heavy
 # sweeps (pinned exactly by the core tests; smoke-check nonzero here).

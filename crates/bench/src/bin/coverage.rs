@@ -67,11 +67,12 @@ fn main() {
     }
 
     println!("\n=== Exhaustive checking, end to end (Figure 1) ===");
-    let buggy = coverage::exhaustive_check(
+    let buggy = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program(cx, 12);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
         "buggy program: {} SP+ runs ({} replayed from trace; K = {}, M = {}) → races: {}",
@@ -82,11 +83,12 @@ fn main() {
         buggy.report.has_races()
     );
     assert!(buggy.report.has_races());
-    let fixed = coverage::exhaustive_check(
+    let fixed = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program_fixed(cx, 12);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
         "fixed program: {} SP+ runs → races: {}",
@@ -136,7 +138,7 @@ fn main() {
             ..CoverageOptions::default()
         };
         let t = std::time::Instant::now();
-        let rep = coverage::exhaustive_check(program, &opts);
+        let rep = coverage::exhaustive_check_parallel(program, &opts, 1);
         (t.elapsed(), rep)
     };
     let mut best_replay = std::time::Duration::MAX;

@@ -96,7 +96,7 @@ fn print_sweep_timing(scale: Scale, reps: usize) {
             let mut best = Duration::MAX;
             for _ in 0..reps.max(1) {
                 let t = Instant::now();
-                let rep = coverage::exhaustive_check(&w.run, &opts(replay));
+                let rep = coverage::exhaustive_check_parallel(&w.run, &opts(replay), 1);
                 best = best.min(t.elapsed());
                 assert_eq!(rep.replayed == rep.runs, replay, "unexpected fallback");
             }

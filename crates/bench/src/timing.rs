@@ -26,6 +26,8 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use rader_core::json_escape;
+
 pub use std::hint::black_box;
 
 /// One measured bench: its identity and its sample statistics.
@@ -70,21 +72,6 @@ pub fn fmt_duration(d: Duration) -> String {
     } else {
         format!("{:.3} s", ns as f64 / 1e9)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serialize measurements as a JSON array (no external serializer).

@@ -16,9 +16,10 @@
 //!   combines the views spanning continuations `[a, b)` and `[b, c)` —
 //!   the `(a, b, c)` operation.
 //!
-//! [`exhaustive_check`] runs SP+ under both families plus the no-steal
-//! base case and merges the reports, giving the paper's coverage
-//! guarantee for races involving at least one view-oblivious strand.
+//! [`exhaustive_check_parallel`] runs SP+ under both families plus the
+//! no-steal base case and merges the reports, giving the paper's
+//! coverage guarantee for races involving at least one view-oblivious
+//! strand.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,80 +68,29 @@ pub fn reduce_coverage_specs(k: u32) -> Vec<StealSpec> {
     specs
 }
 
-/// How a parallel sweep distributes specifications across its threads.
-///
-/// Both schedulers operate on the *chunk* list produced by the sweep's
-/// [`ChunkPolicy`]: a chunk is a run of consecutive spec indices claimed
-/// as one unit, so the claim count is identical across schedulers and
-/// thread counts (and so are the reports — results are index-sorted
-/// before merging either way).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepScheduler {
-    /// Threads pull the next unclaimed chunk from a shared atomic
-    /// counter. Self-balancing: the `EveryBlock` reduce triples cost far
-    /// more than the `AtSpawnCount` update specs, and a fixed partition
-    /// can strand all the expensive ones on one thread while the others
-    /// idle. This is the default.
-    #[default]
-    WorkQueue,
-    /// Thread `t` of `n` statically takes chunks `t, t+n, t+2n, …`
-    /// (round-robin). Kept for the scheduler benchmarks and as a
-    /// debugging aid; produces identical reports, just worse balance.
-    Strided,
-}
-
-/// Chunk length used by [`ChunkPolicy::Family`] for the cheap spec
-/// families (`None` / `AtSpawnCount`).
+/// Chunk length for the cheap spec families (`None` / `AtSpawnCount`).
 pub const UPDATE_CHUNK: usize = 16;
 
-/// How the parallel sweep batches spec indices into claims.
-///
-/// An `AtSpawnCount` replay is microseconds, so at high thread counts
-/// the shared claim counter becomes the hot cache line if every spec is
-/// claimed individually; a cubic `EveryBlock` triple re-runs the whole
-/// reduce machinery, so batching those only *hurts* balance. Chunk sizes
-/// therefore follow the spec family (see the policy table in DESIGN.md).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChunkPolicy {
-    /// One spec per claim — the pre-chunking behavior, kept as the
-    /// `sweep_chunking` bench baseline.
-    PerSpec,
-    /// Family-sized chunks: cheap specs (`None` and the Theorem-6
-    /// `AtSpawnCount` update family) are claimed [`UPDATE_CHUNK`] at a
-    /// time; every `EveryBlock` reduce spec (and any other expensive
-    /// kind) is its own chunk. The default.
-    #[default]
-    Family,
-    /// Fixed chunk length for every spec (clamped to ≥ 1). For
-    /// experiments; `Fixed(1)` is equivalent to `PerSpec`.
-    Fixed(usize),
-}
-
-/// Split `specs[first..]` into claimable chunks under `policy`. Chunks
-/// are contiguous, ordered, and cover every index exactly once, so the
-/// sweep's result set — and its claim count, `chunks.len()` — is a pure
-/// function of the spec list and policy, independent of thread count and
-/// scheduler.
-fn plan_chunks(specs: &[StealSpec], first: usize, policy: ChunkPolicy) -> Vec<(usize, usize)> {
+/// Split `specs[first..]` into claimable chunks. An `AtSpawnCount`
+/// replay is microseconds, so cheap specs (`None` and the Theorem-6
+/// update family) are claimed [`UPDATE_CHUNK`] at a time and the shared
+/// claim counter stays cold; a cubic `EveryBlock` triple re-runs the
+/// whole reduce machinery, so every `EveryBlock` spec is its own chunk
+/// and balance is unaffected where it matters. Chunks are contiguous,
+/// ordered, and cover every index exactly once, so the sweep's result
+/// set — and its claim count, `chunks.len()` — is a pure function of the
+/// spec list, independent of thread count.
+fn plan_chunks(specs: &[StealSpec], first: usize) -> Vec<(usize, usize)> {
     let cheap = |s: &StealSpec| matches!(s, StealSpec::None | StealSpec::AtSpawnCount(_));
     let mut chunks = Vec::new();
     let mut i = first;
     while i < specs.len() {
-        let len = match policy {
-            ChunkPolicy::PerSpec => 1,
-            ChunkPolicy::Fixed(n) => n.max(1).min(specs.len() - i),
-            ChunkPolicy::Family => {
-                if cheap(&specs[i]) {
-                    let mut l = 1;
-                    while l < UPDATE_CHUNK && i + l < specs.len() && cheap(&specs[i + l]) {
-                        l += 1;
-                    }
-                    l
-                } else {
-                    1
-                }
+        let mut len = 1;
+        if cheap(&specs[i]) {
+            while len < UPDATE_CHUNK && i + len < specs.len() && cheap(&specs[i + len]) {
+                len += 1;
             }
-        };
+        }
         chunks.push((i, i + len));
         i += len;
     }
@@ -228,7 +178,7 @@ fn claim_order(specs: &[StealSpec], chunks: &[(usize, usize)], prioritize: bool)
     order
 }
 
-/// Options for [`exhaustive_check`].
+/// Options for [`exhaustive_check_parallel`].
 #[derive(Clone, Copy, Debug)]
 pub struct CoverageOptions {
     /// Run the Theorem-6 update-coverage family.
@@ -247,10 +197,6 @@ pub struct CoverageOptions {
     /// back to honest re-execution automatically). `false` forces
     /// re-execution for every run.
     pub replay: bool,
-    /// How [`exhaustive_check_parallel`] distributes specs over threads.
-    pub scheduler: SweepScheduler,
-    /// How spec indices are batched into per-thread claims.
-    pub chunking: ChunkPolicy,
 }
 
 impl Default for CoverageOptions {
@@ -261,8 +207,6 @@ impl Default for CoverageOptions {
             max_k: None,
             max_spawn_count: None,
             replay: true,
-            scheduler: SweepScheduler::WorkQueue,
-            chunking: ChunkPolicy::Family,
         }
     }
 }
@@ -320,7 +264,7 @@ fn sweep_one(
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
 /// Sweep regressions hide easily inside an aggregate number; the suite
 /// CLI surfaces this breakdown so a slow record pass (program got more
-/// expensive) reads differently from a slow sweep (scheduler or replay
+/// expensive) reads differently from a slow sweep (claiming or replay
 /// regressed) or a slow merge (report handling regressed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepTiming {
@@ -357,10 +301,10 @@ pub struct ExhaustiveReport {
     /// Measured maximum spawn count `M`.
     pub m: u32,
     /// Chunk claims the sweep performed: the number of units of work
-    /// handed out by the scheduler ([`ChunkPolicy`] batches cheap specs,
-    /// so `claims < runs` whenever chunking amortized the shared
-    /// counter). A pure function of the spec list and chunk policy —
-    /// identical across thread counts and schedulers.
+    /// handed out to the threads (cheap specs are batched, so
+    /// `claims < runs` whenever chunking amortized the shared counter).
+    /// A pure function of the spec list — identical across thread
+    /// counts.
     pub claims: usize,
     /// Total SP+ access checks performed across every run of the sweep
     /// (including the record pass and any divergence fallbacks).
@@ -433,9 +377,10 @@ impl ExhaustiveReport {
     }
 }
 
-/// Escape a string for a JSON string literal (sweep family names and
-/// panic payloads may contain arbitrary text).
-fn json_escape(s: &str) -> String {
+/// Escape a string for a JSON string literal (sweep family names, panic
+/// payloads and bench labels may contain arbitrary text). The one
+/// escaper behind every JSON writer in the workspace.
+pub fn json_escape(s: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -455,40 +400,24 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Run SP+ under the Section-7 specification families (plus the no-steal
-/// base case) and merge the findings.
+/// base case) on `threads` OS threads and merge the findings.
 ///
 /// The program must be re-runnable (`Fn`), deterministic in its
 /// view-oblivious part, and use only associative reduces — the paper's
 /// "ostensibly deterministic" precondition. By default the program is
 /// recorded once and the sweep replays its [`ProgramTrace`] under each
 /// specification (see [`CoverageOptions::replay`]).
-pub fn exhaustive_check(
-    program: impl Fn(&mut Ctx<'_>) + Sync,
-    opts: &CoverageOptions,
-) -> ExhaustiveReport {
-    exhaustive_check_parallel(program, opts, 1)
-}
-
-/// As [`exhaustive_check`], but running the independent SP+ sweeps on
-/// `threads` OS threads. The sweep dominates checking cost (Θ(M) + Θ(K³)
-/// serial runs), and the runs share nothing, so this scales nearly
-/// linearly. Findings are returned in deterministic (spec) order: worker
-/// results are index-sorted before merging, so the merged report is
-/// byte-identical across thread counts and scheduler choices.
 ///
-/// Specs are handed out from a shared atomic work queue by default
-/// ([`SweepScheduler::WorkQueue`]): spec costs are wildly uneven (an
-/// `EveryBlock` reduce triple re-runs the whole program's reduce
-/// machinery; an `AtSpawnCount` update spec may steal once), so a static
-/// partition can leave one thread holding every expensive spec while the
-/// rest idle. Claims are batched by the [`ChunkPolicy`]: the cheap
-/// update family is handed out [`UPDATE_CHUNK`] specs at a time (an
-/// `AtSpawnCount` replay is microseconds — claimed singly, the shared
-/// counter becomes the hot cache line at high thread counts), while
-/// every `EveryBlock` spec remains its own claim so balance is
-/// unaffected where it matters. Each worker pools one [`SpPlus`] instance across all its
-/// runs (the engine's `begin_run` hook resets it in place), so a sweep
-/// allocates O(threads) bag forests, not O(specs).
+/// The sweep dominates checking cost (Θ(M) + Θ(K³) serial runs), and the
+/// runs share nothing, so it scales nearly linearly. Threads pull chunks
+/// of specs (cheap update specs batched [`UPDATE_CHUNK`] at a time, each
+/// `EveryBlock` spec alone) from a shared atomic counter, which
+/// balances the wildly uneven spec costs. Findings are returned in
+/// deterministic (spec) order: worker results are index-sorted before
+/// merging, so the merged report is byte-identical across thread counts.
+/// Each worker pools one [`SpPlus`] instance across all its runs (the
+/// engine's `begin_run` hook resets it in place), so a sweep allocates
+/// O(threads) bag forests, not O(specs).
 pub fn exhaustive_check_parallel(
     program: impl Fn(&mut Ctx<'_>) + Sync,
     opts: &CoverageOptions,
@@ -663,11 +592,10 @@ pub fn exhaustive_check_parallel_ctl(
     // Index 0 (StealSpec::None) is already served when the record pass
     // ran as the first detection run.
     let first = base.is_some() as usize;
-    // Batch the remaining specs into claims: the scheduler hands out
-    // whole chunks, so cheap `AtSpawnCount` replays stop hammering the
-    // shared counter while each cubic `EveryBlock` spec stays its own
-    // unit of balance.
-    let chunks = plan_chunks(&specs, first, opts.chunking);
+    // Batch the remaining specs into claims: threads take whole chunks,
+    // so cheap `AtSpawnCount` replays stop hammering the shared counter
+    // while each cubic `EveryBlock` spec stays its own unit of balance.
+    let chunks = plan_chunks(&specs, first);
     let claims = chunks.len();
     let order = claim_order(&specs, &chunks, ctl.budget.is_some());
     let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
@@ -713,51 +641,33 @@ pub fn exhaustive_check_parallel_ctl(
         let writer = writer.as_ref();
         let journal_err = &journal_err;
         let faults = ctl.faults.as_ref();
-        let scheduler = opts.scheduler;
         let mut handles = Vec::new();
-        for t in 0..threads {
+        for _ in 0..threads {
             handles.push(scope.spawn(move || {
                 let mut tool = SpPlus::new();
                 let mut local: Vec<ChunkRecord> = Vec::new();
-                // Claim the chunk at claim-order position `slot`; false
-                // means stop claiming (deadline hit or journal broken).
-                let work = |slot: usize, local: &mut Vec<ChunkRecord>, tool: &mut SpPlus| {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return false;
-                    }
-                    if lock(journal_err).is_some() {
-                        return false; // another worker hit a write error
+                // Claim chunks in claim order until they run out, the
+                // deadline hits, or some worker's journal write fails.
+                loop {
+                    let slot = queue.fetch_add(1, Ordering::Relaxed);
+                    if slot >= order.len()
+                        || deadline.is_some_and(|d| Instant::now() >= d)
+                        || lock(journal_err).is_some()
+                    {
+                        break;
                     }
                     let c = order[slot];
                     if done.contains_key(&c) {
-                        return true; // already served by the journal
+                        continue; // already served by the journal
                     }
-                    let rec = sweep_chunk(program, trace, specs, c, chunks[c], tool, faults);
+                    let rec = sweep_chunk(program, trace, specs, c, chunks[c], &mut tool, faults);
                     if let Some(w) = writer {
                         if let Err(e) = lock(w).write_chunk(&rec) {
                             *lock(journal_err) = Some(e);
-                            return false;
+                            break;
                         }
                     }
                     local.push(rec);
-                    true
-                };
-                match scheduler {
-                    SweepScheduler::WorkQueue => loop {
-                        let slot = queue.fetch_add(1, Ordering::Relaxed);
-                        if slot >= order.len() || !work(slot, &mut local, &mut tool) {
-                            break;
-                        }
-                    },
-                    SweepScheduler::Strided => {
-                        let mut slot = t;
-                        while slot < order.len() {
-                            if !work(slot, &mut local, &mut tool) {
-                                break;
-                            }
-                            slot += threads;
-                        }
-                    }
                 }
                 local
             }));
@@ -1084,7 +994,7 @@ mod tests {
             ..RunStats::default()
         };
         let (specs, _, _) = plan_specs(&stats, &CoverageOptions::default());
-        let chunks = plan_chunks(&specs, 1, ChunkPolicy::Family);
+        let chunks = plan_chunks(&specs, 1);
         // Coverage: contiguous, ordered, exactly once.
         let mut next = 1;
         for &(s, e) in &chunks {
@@ -1112,21 +1022,12 @@ mod tests {
             .filter(|&&(s, _)| matches!(specs[s], StealSpec::AtSpawnCount(_)))
             .count();
         assert_eq!(cheap_chunks, 2);
-        // PerSpec and Fixed behave as documented.
-        assert_eq!(
-            plan_chunks(&specs, 1, ChunkPolicy::PerSpec).len(),
-            specs.len() - 1
-        );
-        for (s, e) in plan_chunks(&specs, 1, ChunkPolicy::Fixed(7)) {
-            assert!(e - s <= 7);
-        }
     }
 
     #[test]
-    fn chunk_policies_and_threads_agree_byte_for_byte() {
-        // Acceptance: sweep reports byte-identical across thread counts,
-        // schedulers, and chunk sizes. Claims are a pure function of the
-        // plan, so they must agree across thread counts too.
+    fn thread_counts_agree_byte_for_byte() {
+        // Sweep reports are byte-identical across thread counts. Claims
+        // are a pure function of the plan, so they agree too.
         let program = |cx: &mut Ctx<'_>| {
             let a = cx.alloc(1);
             for i in 0..8 {
@@ -1139,39 +1040,21 @@ mod tests {
             cx.write(a, 2);
             cx.sync();
         };
-        let base = exhaustive_check(program, &CoverageOptions::default());
-        assert!(base.claims < base.runs, "Family chunking must batch claims");
-        for chunking in [
-            ChunkPolicy::PerSpec,
-            ChunkPolicy::Family,
-            ChunkPolicy::Fixed(4),
-        ] {
-            for scheduler in [SweepScheduler::WorkQueue, SweepScheduler::Strided] {
-                for threads in [1, 2, 4] {
-                    let opts = CoverageOptions {
-                        chunking,
-                        scheduler,
-                        ..CoverageOptions::default()
-                    };
-                    let rep = exhaustive_check_parallel(program, &opts, threads);
-                    assert_eq!(
-                        rep.report, base.report,
-                        "{chunking:?}/{scheduler:?}/{threads}"
-                    );
-                    assert_eq!(rep.findings, base.findings);
-                    assert_eq!(rep.runs, base.runs);
-                    assert_eq!(rep.spplus_checks, base.spplus_checks);
-                    assert_eq!(
-                        format!("{}", rep.report),
-                        format!("{}", base.report),
-                        "rendered report must be byte-identical"
-                    );
-                    // Claims depend only on the chunk policy, never on
-                    // threads or scheduler.
-                    let expect_claims = exhaustive_check_parallel(program, &opts, 1).claims;
-                    assert_eq!(rep.claims, expect_claims);
-                }
-            }
+        let opts = CoverageOptions::default();
+        let base = exhaustive_check_parallel(program, &opts, 1);
+        assert!(base.claims < base.runs, "chunking must batch claims");
+        for threads in [2, 4] {
+            let rep = exhaustive_check_parallel(program, &opts, threads);
+            assert_eq!(rep.report, base.report, "threads={threads}");
+            assert_eq!(rep.findings, base.findings);
+            assert_eq!(rep.runs, base.runs);
+            assert_eq!(rep.spplus_checks, base.spplus_checks);
+            assert_eq!(
+                format!("{}", rep.report),
+                format!("{}", base.report),
+                "rendered report must be byte-identical"
+            );
+            assert_eq!(rep.claims, base.claims);
         }
     }
 
@@ -1203,7 +1086,7 @@ mod tests {
             ..RunStats::default()
         };
         let (specs, _, _) = plan_specs(&stats, &CoverageOptions::default());
-        let chunks = plan_chunks(&specs, 1, ChunkPolicy::PerSpec);
+        let chunks = plan_chunks(&specs, 1);
         let identity: Vec<usize> = (0..chunks.len()).collect();
         assert_eq!(claim_order(&specs, &chunks, false), identity);
         let order = claim_order(&specs, &chunks, true);
@@ -1279,20 +1162,12 @@ mod tests {
         // The race is schedule-independent, so losing one update spec
         // does not lose the finding.
         assert!(rep.report.has_races());
-        // Quarantine is deterministic across thread counts & schedulers.
+        // Quarantine is deterministic across thread counts.
         for threads in [1, 4] {
-            for scheduler in [SweepScheduler::WorkQueue, SweepScheduler::Strided] {
-                let again = exhaustive_check_parallel_ctl(
-                    racy8,
-                    &CoverageOptions { scheduler, ..opts },
-                    threads,
-                    &ctl,
-                )
-                .unwrap();
-                assert_eq!(again.quarantined, rep.quarantined);
-                assert_eq!(again.report, rep.report);
-                assert_eq!(again.spplus_checks, rep.spplus_checks);
-            }
+            let again = exhaustive_check_parallel_ctl(racy8, &opts, threads, &ctl).unwrap();
+            assert_eq!(again.quarantined, rep.quarantined);
+            assert_eq!(again.report, rep.report);
+            assert_eq!(again.spplus_checks, rep.spplus_checks);
         }
     }
 
@@ -1468,7 +1343,7 @@ mod tests {
         let base_locs = base.report().racy_locs();
         assert!(base_locs.is_empty(), "{base_locs:?}");
         // ...but the exhaustive sweep elicits the reduce and the race.
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
         assert!(rep.report.has_races());
         assert!(rep.runs > 1);
     }
@@ -1569,13 +1444,14 @@ mod tests {
             cx.reducer_update(h, &[2]);
             cx.sync();
         };
-        let via_replay = exhaustive_check(program, &CoverageOptions::default());
-        let via_rerun = exhaustive_check(
+        let via_replay = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
+        let via_rerun = exhaustive_check_parallel(
             program,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert_eq!(via_replay.report, via_rerun.report);
         assert_eq!(via_replay.findings, via_rerun.findings);
@@ -1594,7 +1470,7 @@ mod tests {
             cx.write(a, 2); // determinacy race on every schedule
             cx.sync();
         };
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
         assert!(!rep.findings.is_empty());
         for finding in &rep.findings {
             let again = ExhaustiveReport::reproduce(program, finding);
@@ -1613,7 +1489,7 @@ mod tests {
             let v = cx.reducer_get_view(h);
             let _ = cx.read(v);
         };
-        let rep = exhaustive_check(program, &CoverageOptions::default());
+        let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
         assert!(!rep.report.has_races(), "{}", rep.report);
         assert_eq!(rep.k, 4);
     }

@@ -5,7 +5,7 @@
 //! trustworthy if it can be *exercised on demand*. A [`FaultPlan`] is a
 //! seeded, pure function from spec index to [`Fault`]: the same plan
 //! injects the same panics and delays at the same spec boundaries on
-//! every run, every thread count, and every scheduler, so a test (or the
+//! every run and every thread count, so a test (or the
 //! `--fault-seed` / `--fault-panic-at` CLI flags) can pin "spec 5
 //! panics, everything else completes, spec 5 is quarantined" as an exact
 //! expectation rather than a probabilistic one.

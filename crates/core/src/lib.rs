@@ -19,8 +19,8 @@
 //!
 //! Plus the Section-7 [`coverage`] machinery: Θ(M) + Θ(K³) steal
 //! specifications that elicit every possible view-aware strand of an
-//! ostensibly deterministic program, and an [`coverage::exhaustive_check`]
-//! driver that sweeps them.
+//! ostensibly deterministic program, and an
+//! [`coverage::exhaustive_check_parallel`] driver that sweeps them.
 //!
 //! The [`Rader`] facade bundles the common flows:
 //!
@@ -52,9 +52,8 @@ pub mod sporder;
 pub mod spplus;
 
 pub use coverage::{
-    exhaustive_check, exhaustive_check_parallel, exhaustive_check_parallel_ctl, minimize_spec,
-    ChunkPolicy, CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepScheduler,
-    SweepTiming,
+    exhaustive_check_parallel, exhaustive_check_parallel_ctl, json_escape, minimize_spec,
+    CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepTiming,
 };
 pub use fault::{Fault, FaultPlan};
 pub use journal::{CheckpointPolicy, SCHEMA_VERSION};
@@ -113,14 +112,14 @@ impl Rader {
         report
     }
 
-    /// Exhaustive SP+ sweep per Section 7 (see
-    /// [`coverage::exhaustive_check`]).
+    /// Exhaustive SP+ sweep per Section 7, on one thread (see
+    /// [`coverage::exhaustive_check_parallel`]).
     pub fn check_exhaustive(
         &self,
         program: impl Fn(&mut Ctx<'_>) + Sync,
         opts: &CoverageOptions,
     ) -> ExhaustiveReport {
-        coverage::exhaustive_check(program, opts)
+        coverage::exhaustive_check_parallel(program, opts, 1)
     }
 
     /// Run the program uninstrumented and return engine statistics

@@ -38,7 +38,7 @@ fn sweep_dominates_random_schedule_sampling() {
         };
 
         // The sweep's verdict.
-        let sweep = coverage::exhaustive_check(run, &CoverageOptions::default());
+        let sweep = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
         let sweep_locs = sweep.report.racy_locs();
 
         // A random-schedule sample: 40 random specs of varying density.
@@ -83,8 +83,8 @@ fn sweep_is_deterministic() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let a = coverage::exhaustive_check(run, &CoverageOptions::default());
-        let b = coverage::exhaustive_check(run, &CoverageOptions::default());
+        let a = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
+        let b = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
         assert_eq!(a.report.racy_locs(), b.report.racy_locs());
         assert_eq!(a.runs, b.runs);
         assert_eq!(a.findings.len(), b.findings.len());
@@ -97,13 +97,14 @@ fn capping_k_reduces_runs_monotonically() {
     let run = |cx: &mut Ctx<'_>| {
         run_synth(cx, &prog);
     };
-    let full = coverage::exhaustive_check(run, &CoverageOptions::default());
-    let capped = coverage::exhaustive_check(
+    let full = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
+    let capped = coverage::exhaustive_check_parallel(
         run,
         &CoverageOptions {
             max_k: Some(2),
             ..CoverageOptions::default()
         },
+        1,
     );
     assert!(capped.runs <= full.runs);
     assert!(capped.k <= 2);
@@ -121,7 +122,7 @@ fn parallel_sweep_matches_serial_sweep() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let serial = coverage::exhaustive_check(run, &CoverageOptions::default());
+        let serial = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
         for threads in [1usize, 4] {
             let par = exhaustive_check_parallel(run, &CoverageOptions::default(), threads);
             assert_eq!(par.runs, serial.runs, "seed {seed}");

@@ -134,13 +134,14 @@ fn exhaustive_driver_replay_matches_reexecution() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let via_replay = coverage::exhaustive_check(run, &CoverageOptions::default());
-        let via_rerun = coverage::exhaustive_check(
+        let via_replay = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
+        let via_rerun = coverage::exhaustive_check_parallel(
             run,
             &CoverageOptions {
                 replay: false,
                 ..CoverageOptions::default()
             },
+            1,
         );
         assert_eq!(via_replay.report, via_rerun.report, "seed {seed}");
         assert_eq!(via_replay.findings, via_rerun.findings, "seed {seed}");

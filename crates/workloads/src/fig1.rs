@@ -219,11 +219,12 @@ mod tests {
 
     #[test]
     fn exhaustive_sweep_finds_the_race_without_hand_picked_spec() {
-        let rep = coverage::exhaustive_check(
+        let rep = coverage::exhaustive_check_parallel(
             |cx| {
                 race_program(cx, 8);
             },
             &CoverageOptions::default(),
+            1,
         );
         assert!(rep.report.has_races(), "coverage sweep missed Figure 1");
     }

@@ -48,14 +48,15 @@ fn main() {
     // The full sweep on an ostensibly deterministic program.
     // ------------------------------------------------------------------
     let prog = nested_spawns(3, 2);
-    let rep = coverage::exhaustive_check(
+    let rep = coverage::exhaustive_check_parallel(
         |cx| {
             run_synth(cx, &prog);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
-        "\nexhaustive_check on nested_spawns(3,2): {} runs (K = {}, M = {}), races: {}",
+        "\nexhaustive sweep on nested_spawns(3,2): {} runs (K = {}, M = {}), races: {}",
         rep.runs,
         rep.k,
         rep.m,

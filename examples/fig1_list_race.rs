@@ -45,11 +45,12 @@ fn main() {
     println!("race involves a Reduce strand: {reduce_involved}\n");
 
     // 3. No hand-picked spec: the Theorem-6/7 coverage sweep.
-    let sweep = coverage::exhaustive_check(
+    let sweep = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program(cx, 12);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
         "exhaustive sweep: {} SP+ runs (K = {}, M = {}):\n{}",
@@ -58,11 +59,12 @@ fn main() {
     assert!(sweep.report.has_races());
 
     // 4. The fix: a deep copy. Clean under the same sweep.
-    let sweep = coverage::exhaustive_check(
+    let sweep = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program_fixed(cx, 12);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
         "deep-copy fix under the same sweep ({} runs): {}",

@@ -107,15 +107,6 @@ fn cmd_suite(o: &SuiteOpts) {
         max_k: o.max_k,
         max_spawn_count: o.max_spawn_count,
         replay: !o.reexecute,
-        scheduler: if o.strided {
-            rader::core::SweepScheduler::Strided
-        } else {
-            rader::core::SweepScheduler::WorkQueue
-        },
-        chunking: match o.chunk {
-            Some(n) => rader::core::ChunkPolicy::Fixed(n),
-            None => rader::core::ChunkPolicy::Family,
-        },
         checkpoint: o.checkpoint.clone(),
         resume: o.resume.clone(),
         budget: o.budget.map(Duration::from_secs_f64),
@@ -174,14 +165,6 @@ fn cmd_suite(o: &SuiteOpts) {
             verdict
         );
     }
-    // Scaling smoke: exercise the work-stealing pool and report steal
-    // traffic. Scheduling-dependent numbers stay on stdout only; the
-    // JSON report must remain deterministic.
-    let pool = suite::pool_smoke(opts.threads);
-    println!(
-        "pool-smoke: queue={:?} workers={} tasks={} steals={} retries={}",
-        pool.queue, pool.workers, pool.tasks, pool.steals, pool.steal_retries
-    );
     for w in report.workloads.iter().filter(|w| !w.clean()) {
         println!("\n## {} races", w.name);
         if let Some(min) = &w.minimized {
@@ -211,11 +194,12 @@ fn cmd_synth(o: &SynthOpts) {
     };
     let prog = gen_program(o.seed, &cfg);
     println!("program (seed {}): {:?}\n", o.seed, prog.body);
-    let sweep = coverage::exhaustive_check(
+    let sweep = coverage::exhaustive_check_parallel(
         |cx| {
             run_synth(cx, &prog);
         },
         &CoverageOptions::default(),
+        1,
     );
     println!(
         "exhaustive check: {} SP+ runs (K = {}, M = {})",

@@ -33,11 +33,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use rader_cilk::par::{ParRuntime, PoolStats};
 use rader_cilk::SerialEngine;
 use rader_core::{
-    coverage, CheckpointPolicy, ChunkPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined,
-    RaceReport, SweepControl, SweepScheduler, SCHEMA_VERSION,
+    coverage, json_escape, CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined,
+    RaceReport, SweepControl, SCHEMA_VERSION,
 };
 use rader_workloads::Workload;
 
@@ -52,10 +51,6 @@ pub struct SuiteOptions {
     pub max_spawn_count: Option<u32>,
     /// Use the record/replay fast path (`false`: re-execute per spec).
     pub replay: bool,
-    /// How the sweep distributes spec chunks over threads.
-    pub scheduler: SweepScheduler,
-    /// How the sweep batches spec indices into claims.
-    pub chunking: ChunkPolicy,
     /// Record sweep checkpoints: each workload journals completed chunks
     /// to `{prefix}.{name}.ckpt` under this path prefix.
     pub checkpoint: Option<String>,
@@ -82,8 +77,6 @@ impl Default for SuiteOptions {
             max_k: None,
             max_spawn_count: None,
             replay: true,
-            scheduler: SweepScheduler::WorkQueue,
-            chunking: ChunkPolicy::Family,
             checkpoint: None,
             resume: None,
             budget: None,
@@ -110,8 +103,8 @@ pub struct WorkloadVerdict {
     /// Measured (capped) maximum spawn count `M`.
     pub m: u32,
     /// Chunk claims the sweep performed (deterministic: a pure function
-    /// of the spec plan and chunk policy; `claims < runs` whenever
-    /// chunked claiming amortized the shared counter).
+    /// of the spec plan; `claims < runs` whenever chunked claiming
+    /// amortized the shared counter).
     pub claims: usize,
     /// Total distinct races across both detectors.
     pub races: usize,
@@ -243,8 +236,6 @@ pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdi
         max_k: opts.max_k,
         max_spawn_count: opts.max_spawn_count,
         replay: opts.replay,
-        scheduler: opts.scheduler,
-        chunking: opts.chunking,
         ..CoverageOptions::default()
     };
     let checkpoint = match (&opts.resume, &opts.checkpoint) {
@@ -302,57 +293,6 @@ pub fn run_suite(workloads: &[Workload], opts: &SuiteOptions) -> Result<SuiteRep
         out.push(check_workload(w, opts)?);
     }
     Ok(SuiteReport { workloads: out })
-}
-
-/// Exercise the work-stealing pool with a spawn-heavy calibration
-/// program and return its [`PoolStats`] — the suite's scaling smoke:
-/// at `workers ≥ 2` a healthy pool must record steals. Each task does
-/// enough work for sleeping helpers to wake and steal; statistically
-/// certain but not guaranteed per run, so retry a few times (the same
-/// discipline as the runtime's own distribution test).
-///
-/// The numbers are scheduling-dependent, so they are printed to stdout
-/// only — never serialized into the suite's deterministic `--json`
-/// output.
-pub fn pool_smoke(workers: usize) -> PoolStats {
-    let mut stats = PoolStats::default();
-    for _ in 0..10 {
-        let rt = ParRuntime::new(workers);
-        let (s, _) = rt.run(|cx| {
-            cx.par_for(0..512, 1, move |cx, _| {
-                let mut acc = 0u64;
-                for i in 0..20_000 {
-                    acc = acc.wrapping_mul(31).wrapping_add(i);
-                }
-                let cell = cx.alloc(1);
-                cx.write(cell, (acc % 5) as rader_cilk::Word);
-            });
-        });
-        stats = s;
-        if workers < 2 || stats.steals > 0 {
-            break;
-        }
-    }
-    stats
-}
-
-/// Escape a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Validate that `s` is well-formed JSON (one top-level value). A
@@ -670,6 +610,16 @@ mod tests {
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_json("01x").is_err());
         assert!(validate_json("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn escaped_control_chars_and_quotes_form_valid_json_strings() {
+        let specials = (0u8..0x20).map(char::from).chain(['"', '\\']);
+        for c in specials {
+            let s = format!("a{c}b");
+            let lit = format!("\"{}\"", json_escape(&s));
+            validate_json(&lit).unwrap_or_else(|e| panic!("{c:?} -> {lit}: {e}"));
+        }
     }
 
     #[test]

@@ -73,18 +73,20 @@ fn suite_results_are_schedule_invariant() {
 #[test]
 fn figure1_buggy_and_fixed_end_to_end() {
     // Buggy: caught by the sweep; Fixed: clean under the same sweep.
-    let sweep = coverage::exhaustive_check(
+    let sweep = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program(cx, 10);
         },
         &CoverageOptions::default(),
+        1,
     );
     assert!(sweep.report.has_races());
-    let sweep = coverage::exhaustive_check(
+    let sweep = coverage::exhaustive_check_parallel(
         |cx| {
             fig1::race_program_fixed(cx, 10);
         },
         &CoverageOptions::default(),
+        1,
     );
     assert!(!sweep.report.has_races(), "{}", sweep.report);
 }
@@ -172,8 +174,8 @@ fn pbfs_replay_is_report_identical_not_stream_identical() {
         replay,
         ..CoverageOptions::default()
     };
-    let replayed = coverage::exhaustive_check(&program, &opts(true));
-    let fresh = coverage::exhaustive_check(&program, &opts(false));
+    let replayed = coverage::exhaustive_check_parallel(&program, &opts(true), 1);
+    let fresh = coverage::exhaustive_check_parallel(&program, &opts(false), 1);
     assert_eq!(replayed.runs, fresh.runs);
     assert!(replayed.replayed > 0, "replay fast path never engaged");
     assert_eq!(fresh.replayed, 0);
