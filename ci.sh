@@ -20,6 +20,10 @@ cargo check -q --offline --workspace --benches
 echo "== bench smoke: engine runs end to end (offline, 1 sample) =="
 cargo bench -q --offline -p rader-bench --bench engine -- --samples 1 --warmup 0
 
+echo "== bench binaries run end to end (test scale, one rep) =="
+target/release/tables --small --reps 1 >target/tables-smoke.out
+target/release/coverage >target/coverage-smoke.out
+
 echo "== suite smoke: JSON report validates, racy entry exits nonzero =="
 RADER=target/release/rader
 SUITE_JSON=target/suite-smoke.json

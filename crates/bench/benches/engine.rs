@@ -55,21 +55,17 @@ fn bench_instrumentation_layers(h: &mut Harness) {
     });
 }
 
-/// The tentpole comparison: exhaustive sweep time with trace
-/// replay (record once, replay per spec) vs honest re-execution of the
-/// user program per spec, on the two workloads where per-strand user
-/// work (hashing) dominates. Capped K/M keep the spec count identical
-/// across both modes and small enough for the CI smoke run.
+/// Exhaustive sweep time (record once, replay per spec) on the two
+/// workloads where per-strand user work (hashing) dominates. Capped K/M
+/// keep the spec count small enough for the CI smoke run.
 fn bench_exhaustive_sweep(h: &mut Harness) {
-    let opts = |replay| CoverageOptions {
+    let opts = CoverageOptions {
         max_k: Some(3),
         max_spawn_count: Some(6),
-        replay,
-        ..CoverageOptions::default()
     };
-    let sweep = |program: &(dyn Fn(&mut Ctx<'_>) + Sync), replay: bool| {
-        let rep = coverage::exhaustive_check_parallel(program, &opts(replay), 1);
-        assert_eq!(rep.replayed == rep.runs, replay, "unexpected fallback");
+    let sweep = |program: &(dyn Fn(&mut Ctx<'_>) + Sync)| {
+        let rep = coverage::exhaustive_check_parallel(program, &opts, 1);
+        assert_eq!(rep.replayed, rep.runs, "unexpected fallback");
         rep.runs
     };
 
@@ -77,55 +73,15 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
     let corpus = ferret::gen_corpus(48, 3, 12);
     let mut g = h.group("exhaustive_sweep");
     g.bench("dedup/replay", || {
-        sweep(
-            &|cx| {
-                dedup::dedup_program(cx, &stream);
-            },
-            true,
-        )
-    });
-    g.bench("dedup/reexecute", || {
-        sweep(
-            &|cx| {
-                dedup::dedup_program(cx, &stream);
-            },
-            false,
-        )
+        sweep(&|cx| {
+            dedup::dedup_program(cx, &stream);
+        })
     });
     g.bench("ferret/replay", || {
-        sweep(
-            &|cx| {
-                ferret::ferret_program(cx, &corpus);
-            },
-            true,
-        )
+        sweep(&|cx| {
+            ferret::ferret_program(cx, &corpus);
+        })
     });
-    g.bench("ferret/reexecute", || {
-        sweep(
-            &|cx| {
-                ferret::ferret_program(cx, &corpus);
-            },
-            false,
-        )
-    });
-
-    // Summarize the pairwise comparison so the sweep's headline number
-    // (replay speedup over honest re-execution) is printed directly.
-    for workload in ["dedup", "ferret"] {
-        let m = |mode: &str| {
-            h.results()
-                .iter()
-                .find(|m| m.group == "exhaustive_sweep" && m.name == format!("{workload}/{mode}"))
-                .map(|m| m.median.as_nanos() as f64)
-        };
-        if let (Some(replay), Some(reexec)) = (m("replay"), m("reexecute")) {
-            println!(
-                "{:<56} {:.3}x",
-                format!("exhaustive_sweep/{workload}: replay speedup"),
-                reexec / replay,
-            );
-        }
-    }
 }
 
 fn bench_parallel_runtime(h: &mut Harness) {

@@ -15,12 +15,12 @@
 //!   hand-picked specification and passes the fixed program.
 
 use rader_cilk::synth::{nested_spawns, run_synth};
-use rader_cilk::{Ctx, SerialEngine, StealSpec};
+use rader_cilk::{SerialEngine, StealSpec};
 use rader_core::coverage::{
     count_elicited_reduce_ops, reduce_coverage_specs, update_coverage_specs,
 };
 use rader_core::{coverage, CoverageOptions, SpPlus};
-use rader_workloads::{dedup, fig1};
+use rader_workloads::fig1;
 
 fn main() {
     println!("=== Theorem 7: reduce-operation coverage ===");
@@ -122,38 +122,4 @@ fn main() {
          (single-schedule checking is a lottery; the sweep is not)"
     );
     assert!(exposing > 0 && exposing < total);
-
-    // The cost side of the sweep: record-once/replay-many vs honestly
-    // re-executing the user program for every specification. Both modes
-    // run the same specs and must find the same races; replay skips the
-    // user computation between accesses.
-    println!("\n=== Sweep cost: trace replay vs re-execution (dedup) ===");
-    let stream = dedup::gen_stream(96, 11);
-    let program = |cx: &mut Ctx<'_>| {
-        dedup::dedup_program(cx, &stream);
-    };
-    let time_sweep = |replay: bool| {
-        let opts = CoverageOptions {
-            replay,
-            ..CoverageOptions::default()
-        };
-        let t = std::time::Instant::now();
-        let rep = coverage::exhaustive_check_parallel(program, &opts, 1);
-        (t.elapsed(), rep)
-    };
-    let mut best_replay = std::time::Duration::MAX;
-    let mut best_rerun = std::time::Duration::MAX;
-    for _ in 0..5 {
-        let (dt, rep) = time_sweep(true);
-        assert_eq!(rep.replayed, rep.runs);
-        best_replay = best_replay.min(dt);
-        let (dt, rep) = time_sweep(false);
-        assert_eq!(rep.replayed, 0);
-        best_rerun = best_rerun.min(dt);
-    }
-    println!(
-        "replay:      {best_replay:>10.1?}\nre-execute:  {best_rerun:>10.1?}\n\
-         speedup:     {:.3}x",
-        best_rerun.as_secs_f64() / best_replay.as_secs_f64()
-    );
 }

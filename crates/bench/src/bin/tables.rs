@@ -14,9 +14,7 @@
 use rader_bench::{
     figure7_rows, figure8_rows, geomean, geomean_excluding, print_characterization, print_table,
 };
-use rader_core::{coverage, CoverageOptions};
-use rader_workloads::{self as workloads, Scale};
-use std::time::{Duration, Instant};
+use rader_workloads::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -68,48 +66,4 @@ fn main() {
         geomean(&f8, 3),
         geomean_excluding(&f8, 3, "ferret"),
     );
-
-    print_sweep_timing(scale, reps);
-}
-
-/// Exhaustive-sweep cost with the trace-replay fast path vs honest
-/// re-execution, min-of-reps, on the workloads with real per-strand
-/// computation. The sweep itself is not a paper figure — this is the
-/// cost of the Section-7 coverage driver, which the replay layer cuts.
-fn print_sweep_timing(scale: Scale, reps: usize) {
-    println!("\nExhaustive-sweep cost: trace replay vs per-spec re-execution");
-    println!(
-        "{:<12} {:>12} {:>12} {:>9}",
-        "benchmark", "replay", "re-execute", "speedup"
-    );
-    let opts = |replay| CoverageOptions {
-        max_k: Some(3),
-        max_spawn_count: Some(6),
-        replay,
-        ..CoverageOptions::default()
-    };
-    for w in workloads::suite(scale) {
-        if w.name != "dedup" && w.name != "ferret" {
-            continue;
-        }
-        let time_one = |replay: bool| {
-            let mut best = Duration::MAX;
-            for _ in 0..reps.max(1) {
-                let t = Instant::now();
-                let rep = coverage::exhaustive_check_parallel(&w.run, &opts(replay), 1);
-                best = best.min(t.elapsed());
-                assert_eq!(rep.replayed == rep.runs, replay, "unexpected fallback");
-            }
-            best
-        };
-        let replay = time_one(true);
-        let rerun = time_one(false);
-        println!(
-            "{:<12} {:>12.1?} {:>12.1?} {:>8.2}x",
-            w.name,
-            replay,
-            rerun,
-            rerun.as_secs_f64() / replay.as_secs_f64()
-        );
-    }
 }

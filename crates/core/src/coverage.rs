@@ -179,41 +179,18 @@ fn claim_order(specs: &[StealSpec], chunks: &[(usize, usize)], prioritize: bool)
 }
 
 /// Options for [`exhaustive_check_parallel`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CoverageOptions {
-    /// Run the Theorem-6 update-coverage family.
-    pub updates: bool,
-    /// Run the Theorem-7 reduce-coverage family.
-    pub reduces: bool,
     /// Cap on the sync-block size swept by the reduce family (the cubic
     /// family gets large quickly; `None` uses the measured K).
     pub max_k: Option<u32>,
     /// Cap on the spawn count swept by the update family.
     pub max_spawn_count: Option<u32>,
-    /// Record the program once and replay its trace under every
-    /// specification instead of re-executing the user closures per run
-    /// (sound for ostensibly deterministic programs; specs whose replay
-    /// diverges — e.g. a schedule-dependent aliased `get_view` — fall
-    /// back to honest re-execution automatically). `false` forces
-    /// re-execution for every run.
-    pub replay: bool,
 }
 
-impl Default for CoverageOptions {
-    fn default() -> Self {
-        CoverageOptions {
-            updates: true,
-            reduces: true,
-            max_k: None,
-            max_spawn_count: None,
-            replay: true,
-        }
-    }
-}
-
-/// Build the Section-7 specification list (no-steal base case plus the
-/// enabled Theorem-6/7 families) from a run's measured statistics,
-/// applying the option caps. Returns `(specs, k, m)`.
+/// Build the Section-7 specification list (the no-steal base case, then
+/// the Theorem-6 family, then the Theorem-7 family) from a run's
+/// measured statistics, applying the option caps. Returns `(specs, k, m)`.
 fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32, u32) {
     let k = opts
         .max_k
@@ -224,41 +201,34 @@ fn plan_specs(stats: &RunStats, opts: &CoverageOptions) -> (Vec<StealSpec>, u32,
         .unwrap_or(stats.max_spawn_count)
         .min(stats.max_spawn_count);
     let mut specs = vec![StealSpec::None];
-    if opts.updates {
-        specs.extend(update_coverage_specs(m));
-    }
-    if opts.reduces {
-        specs.extend(reduce_coverage_specs(k));
-    }
+    specs.extend(update_coverage_specs(m));
+    specs.extend(reduce_coverage_specs(k));
     (specs, k, m)
 }
 
-/// Run SP+ under one specification, preferring trace replay when a trace
-/// is available and falling back to re-executing the program if replay
-/// reports divergence. Returns the report and whether replay served it.
+/// Run SP+ under one specification by replaying `trace`, falling back to
+/// re-executing the program if replay reports divergence (a spec whose
+/// schedule makes the recorded stream unreliable, e.g. an aliased
+/// `get_view`; see `rader_cilk::replay`). Returns the report and whether
+/// replay served it.
 ///
 /// `tool` is a pooled detector: the engine's `begin_run` hook resets its
 /// detection state in place, so a sweep reuses one bag forest and one
 /// pair of shadow spaces across all its runs instead of allocating fresh
 /// ones per spec.
 fn sweep_one(
-    program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    trace: Option<&ProgramTrace>,
+    program: &impl Fn(&mut Ctx<'_>),
+    trace: &ProgramTrace,
     spec: &StealSpec,
     tool: &mut SpPlus,
 ) -> (RaceReport, bool) {
-    if let Some(trace) = trace {
-        if SerialEngine::with_spec(spec.clone())
-            .replay_tool(tool, trace)
-            .is_ok()
-        {
-            return (tool.take_report(), true);
-        }
-        // Divergence: this spec's schedule makes the recorded stream
-        // unreliable (see `rader_cilk::replay`); re-execute honestly.
+    let replayed = SerialEngine::with_spec(spec.clone())
+        .replay_tool(tool, trace)
+        .is_ok();
+    if !replayed {
+        SerialEngine::with_spec(spec.clone()).run_tool(tool, program);
     }
-    SerialEngine::with_spec(spec.clone()).run_tool(tool, program);
-    (tool.take_report(), false)
+    (tool.take_report(), replayed)
 }
 
 /// Wall-clock cost of each phase of an exhaustive sweep, in nanoseconds.
@@ -268,8 +238,7 @@ fn sweep_one(
 /// regressed) or a slow merge (report handling regressed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SweepTiming {
-    /// Recording pass (doubles as the no-steal detection run), or the
-    /// uninstrumented measuring run when replay is disabled.
+    /// Recording pass (doubles as the no-steal detection run).
     pub record_ns: u64,
     /// The specification sweep itself (all SP+ runs after the first).
     pub sweep_ns: u64,
@@ -292,9 +261,8 @@ pub struct ExhaustiveReport {
     pub runs: usize,
     /// How many of those runs the trace served without an extra execution
     /// of the program: the no-steal run that doubled as the record pass,
-    /// plus every replay-served run. The rest re-executed the program —
-    /// all of them under `CoverageOptions { replay: false, .. }`, or the
-    /// per-spec fallback runs taken when replay detected divergence.
+    /// plus every replay-served run. The rest are per-spec fallbacks that
+    /// re-executed the program because replay detected divergence.
     pub replayed: usize,
     /// Measured maximum sync-block size `K`.
     pub k: u32,
@@ -339,42 +307,6 @@ impl ExhaustiveReport {
         SerialEngine::with_spec(finding.0.clone()).run_tool(&mut tool, program);
         tool.into_report()
     }
-
-    /// Serialize the sweep summary as a JSON object. Carries the same
-    /// `schema_version` as the checkpoint journal and the suite report
-    /// ([`journal::SCHEMA_VERSION`]), so consumers can detect format
-    /// changes; fully deterministic (no timings — those live in
-    /// [`ExhaustiveReport::timing`] precisely because they are not).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let uncovered = self
-            .uncovered
-            .iter()
-            .map(|u| format!("\"{}\"", json_escape(u)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema_version\": {}, \"runs\": {}, \"replayed\": {}, \
-             \"k\": {}, \"m\": {}, \"claims\": {}, \"spplus_checks\": {}, \
-             \"findings\": {}, \"races\": {}, \"partial\": {}, \
-             \"uncovered\": [{}], \"quarantined\": {}}}\n",
-            journal::SCHEMA_VERSION,
-            self.runs,
-            self.replayed,
-            self.k,
-            self.m,
-            self.claims,
-            self.spplus_checks,
-            self.findings.len(),
-            self.report.determinacy.len() + self.report.view_read.len(),
-            self.partial,
-            uncovered,
-            self.quarantined.len(),
-        );
-        out
-    }
 }
 
 /// Escape a string for a JSON string literal (sweep family names, panic
@@ -404,9 +336,9 @@ pub fn json_escape(s: &str) -> String {
 ///
 /// The program must be re-runnable (`Fn`), deterministic in its
 /// view-oblivious part, and use only associative reduces — the paper's
-/// "ostensibly deterministic" precondition. By default the program is
-/// recorded once and the sweep replays its [`ProgramTrace`] under each
-/// specification (see [`CoverageOptions::replay`]).
+/// "ostensibly deterministic" precondition. The program is recorded once
+/// and the sweep replays its [`ProgramTrace`] under each specification,
+/// re-executing the program only for a spec whose replay diverges.
 ///
 /// The sweep dominates checking cost (Θ(M) + Θ(K³) serial runs), and the
 /// runs share nothing, so it scales nearly linearly. Threads pull chunks
@@ -457,33 +389,37 @@ fn minimize_panicking_spec(
     if injected {
         return spec.clone();
     }
-    let still_panics = |ops: &[BlockOp]| -> bool {
-        let candidate = StealSpec::EveryBlock(BlockScript::new(ops.to_vec()));
+    ddmin(script.ops(), |candidate| {
         catch_unwind(AssertUnwindSafe(|| {
             let mut tool = SpPlus::new();
-            SerialEngine::with_spec(candidate).run_tool(&mut tool, program);
+            SerialEngine::with_spec(candidate.clone()).run_tool(&mut tool, program);
         }))
         .is_err()
-    };
-    let mut ops: Vec<BlockOp> = script.ops().to_vec();
+    })
+}
+
+/// Greedy ddmin over an `EveryBlock` script: drop one action at a time,
+/// keeping every drop under which `keep` still holds for the candidate
+/// spec, in linear passes to a fixpoint. Returns the shrunk spec.
+fn ddmin(ops: &[BlockOp], mut keep: impl FnMut(&StealSpec) -> bool) -> StealSpec {
+    let mut ops = ops.to_vec();
     loop {
         let mut shrunk = false;
         let mut i = 0;
         while i < ops.len() {
             let mut trial = ops.clone();
             trial.remove(i);
-            if still_panics(&trial) {
-                ops = trial;
+            if keep(&StealSpec::EveryBlock(BlockScript::new(trial))) {
+                ops.remove(i);
                 shrunk = true;
             } else {
                 i += 1;
             }
         }
         if !shrunk {
-            break;
+            return StealSpec::EveryBlock(BlockScript::new(ops));
         }
     }
-    StealSpec::EveryBlock(BlockScript::new(ops))
 }
 
 /// Sweep one chunk of specs with a pooled tool, isolating per-spec
@@ -494,7 +430,7 @@ fn minimize_panicking_spec(
 /// count — deterministic even for the partial run — carries forward).
 fn sweep_chunk(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
-    trace: Option<&ProgramTrace>,
+    trace: &ProgramTrace,
     specs: &[StealSpec],
     chunk_index: usize,
     span: (usize, usize),
@@ -569,33 +505,25 @@ pub fn exhaustive_check_parallel_ctl(
     ctl: &SweepControl,
 ) -> Result<ExhaustiveReport, String> {
     // Every sweep starts with the no-steal specification, and recording
-    // happens under the no-steal schedule — so in replay mode the record
-    // pass *is* the first detection run (the recorder is a passive extra
-    // hook on an ordinary SP+ run). With replay disabled, a plain
-    // uninstrumented run measures K and M for spec planning instead; it
-    // is not counted in `runs`. A resumed sweep repeats this pass — the
-    // journal stores only sweep results, and re-recording keeps the
-    // trace/stats exactly as the interrupted run saw them.
+    // happens under the no-steal schedule — so the record pass *is* the
+    // first detection run (the recorder is a passive extra hook on an
+    // ordinary SP+ run). A resumed sweep repeats this pass — the journal
+    // stores only sweep results, and re-recording keeps the trace/stats
+    // exactly as the interrupted run saw them.
     let record_start = Instant::now();
-    let (trace, stats, base, base_checks) = if opts.replay {
-        let mut tool = SpPlus::new();
-        let trace = ProgramTrace::record_with_tool(&mut tool, &program);
-        let stats = *trace.stats();
-        let checks = tool.checks;
-        (Some(trace), stats, Some(tool.into_report()), checks)
-    } else {
-        (None, SerialEngine::new().run(&program), None, 0)
-    };
+    let mut base_tool = SpPlus::new();
+    let trace = ProgramTrace::record_with_tool(&mut base_tool, &program);
+    let stats = *trace.stats();
+    let base_checks = base_tool.checks;
+    let base = base_tool.into_report();
     let record_ns = record_start.elapsed().as_nanos() as u64;
     let (specs, k, m) = plan_specs(&stats, opts);
     let threads = threads.max(1).min(specs.len().max(1));
-    // Index 0 (StealSpec::None) is already served when the record pass
-    // ran as the first detection run.
-    let first = base.is_some() as usize;
-    // Batch the remaining specs into claims: threads take whole chunks,
-    // so cheap `AtSpawnCount` replays stop hammering the shared counter
-    // while each cubic `EveryBlock` spec stays its own unit of balance.
-    let chunks = plan_chunks(&specs, first);
+    // Batch the specs after index 0 (StealSpec::None, served by the
+    // record pass) into claims: threads take whole chunks, so cheap
+    // `AtSpawnCount` replays stop hammering the shared counter while each
+    // cubic `EveryBlock` spec stays its own unit of balance.
+    let chunks = plan_chunks(&specs, 1);
     let claims = chunks.len();
     let order = claim_order(&specs, &chunks, ctl.budget.is_some());
     let deadline = ctl.budget.and_then(|b| Instant::now().checked_add(b));
@@ -636,7 +564,7 @@ pub fn exhaustive_check_parallel_ctl(
         let chunks = &chunks[..];
         let order = &order[..];
         let done = &done;
-        let trace = trace.as_ref();
+        let trace = &trace;
         let queue = &queue;
         let writer = writer.as_ref();
         let journal_err = &journal_err;
@@ -702,12 +630,10 @@ pub fn exhaustive_check_parallel_ctl(
             slots[start + off] = Some(outcome);
         }
     }
-    if let Some(report) = base {
-        slots[0] = Some(SpecOutcome::Checked {
-            report,
-            replayed: true,
-        });
-    }
+    slots[0] = Some(SpecOutcome::Checked {
+        report: base,
+        replayed: true,
+    });
     let mut fam_order: Vec<&'static str> = Vec::new();
     let mut fam_counts: std::collections::BTreeMap<&'static str, (usize, usize)> =
         Default::default();
@@ -792,50 +718,26 @@ pub fn exhaustive_check_parallel_ctl(
 /// Returns the input unchanged for non-`EveryBlock` specifications or if
 /// the specification exposes no race to begin with.
 pub fn minimize_spec(program: impl Fn(&mut Ctx<'_>), spec: &StealSpec) -> StealSpec {
+    let StealSpec::EveryBlock(script) = spec else {
+        return spec.clone();
+    };
     // ddmin probes many candidate specs on one fixed program: record
-    // once, replay per candidate (with one pooled detector), re-execute
-    // only on divergence.
+    // once, then run each candidate the way the sweep does (replay, with
+    // one pooled detector, re-executing only on divergence).
     let trace = ProgramTrace::record(&program);
     let mut tool = SpPlus::new();
     let mut racy_under = |candidate: &StealSpec| {
-        if SerialEngine::with_spec(candidate.clone())
-            .replay_tool(&mut tool, &trace)
-            .is_err()
-        {
-            SerialEngine::with_spec(candidate.clone()).run_tool(&mut tool, &program);
-        }
-        tool.report().racy_locs()
+        sweep_one(&program, &trace, candidate, &mut tool)
+            .0
+            .racy_locs()
     };
     let target = racy_under(spec);
     if target.is_empty() {
         return spec.clone();
     }
-    let StealSpec::EveryBlock(script) = spec else {
-        return spec.clone();
-    };
-    let mut ops: Vec<BlockOp> = script.ops().to_vec();
-    let mut still_exposes = |ops: &[BlockOp]| {
-        let candidate = StealSpec::EveryBlock(BlockScript::new(ops.to_vec()));
-        !racy_under(&candidate).is_disjoint(&target)
-    };
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < ops.len() {
-            let mut trial = ops.clone();
-            trial.remove(i);
-            if still_exposes(&trial) {
-                ops = trial;
-                shrunk = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !shrunk {
-            break;
-        }
-    }
-    StealSpec::EveryBlock(BlockScript::new(ops))
+    ddmin(script.ops(), |candidate| {
+        !racy_under(candidate).is_disjoint(&target)
+    })
 }
 
 /// Identity of a reduce operation on a sync block: the continuation
@@ -1409,57 +1311,6 @@ mod tests {
             &spec,
         );
         assert_eq!(minimized, spec);
-    }
-
-    #[test]
-    fn replay_and_reexecute_sweeps_agree() {
-        use std::sync::Arc as StdArc;
-        // The Touchy program exercises the interesting case: its reduce
-        // (re-executed for real during replay) writes a user cell whose
-        // Loc was captured during the record run — valid at replay time
-        // because the arenas are address-identical.
-        struct Touchy {
-            cell: Loc,
-        }
-        impl ViewMonoid for Touchy {
-            fn create_identity(&self, m: &mut ViewMem<'_>) -> Loc {
-                m.alloc(1)
-            }
-            fn reduce(&self, m: &mut ViewMem<'_>, left: Loc, right: Loc) {
-                let r = m.read(right);
-                let l = m.read(left);
-                m.write(left, l + r);
-                m.write(self.cell, 1);
-            }
-            fn update(&self, m: &mut ViewMem<'_>, view: Loc, op: &[Word]) {
-                let v = m.read(view);
-                m.write(view, v + op[0]);
-            }
-        }
-        let program = move |cx: &mut Ctx<'_>| {
-            let cell = cx.alloc(1);
-            let h = cx.new_reducer(StdArc::new(Touchy { cell }));
-            cx.spawn(move |cx| cx.write(cell, 7));
-            cx.spawn(move |cx| cx.reducer_update(h, &[1]));
-            cx.reducer_update(h, &[2]);
-            cx.sync();
-        };
-        let via_replay = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
-        let via_rerun = exhaustive_check_parallel(
-            program,
-            &CoverageOptions {
-                replay: false,
-                ..CoverageOptions::default()
-            },
-            1,
-        );
-        assert_eq!(via_replay.report, via_rerun.report);
-        assert_eq!(via_replay.findings, via_rerun.findings);
-        assert_eq!(via_replay.runs, via_rerun.runs);
-        assert_eq!((via_replay.k, via_replay.m), (via_rerun.k, via_rerun.m));
-        // Every run was served by replay; none with replay disabled.
-        assert_eq!(via_replay.replayed, via_replay.runs);
-        assert_eq!(via_rerun.replayed, 0);
     }
 
     #[test]

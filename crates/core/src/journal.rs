@@ -120,7 +120,10 @@ pub fn encode_spec(spec: &StealSpec, out: &mut Vec<u8>) {
     }
 }
 
-fn take<const N: usize>(b: &[u8], i: &mut usize, what: &str) -> Result<[u8; N], String> {
+/// Read `N` bytes at `*i`, advancing past them; a truncation error names
+/// what was being read (`what`). Shared by the journal and the report
+/// codec.
+pub(crate) fn take<const N: usize>(b: &[u8], i: &mut usize, what: &str) -> Result<[u8; N], String> {
     let end = i
         .checked_add(N)
         .filter(|&e| e <= b.len())
@@ -130,11 +133,11 @@ fn take<const N: usize>(b: &[u8], i: &mut usize, what: &str) -> Result<[u8; N], 
     Ok(arr)
 }
 
-fn take_u32(b: &[u8], i: &mut usize, what: &str) -> Result<u32, String> {
+pub(crate) fn take_u32(b: &[u8], i: &mut usize, what: &str) -> Result<u32, String> {
     Ok(u32::from_le_bytes(take::<4>(b, i, what)?))
 }
 
-fn take_u64(b: &[u8], i: &mut usize, what: &str) -> Result<u64, String> {
+pub(crate) fn take_u64(b: &[u8], i: &mut usize, what: &str) -> Result<u64, String> {
     Ok(u64::from_le_bytes(take::<8>(b, i, what)?))
 }
 

@@ -2,6 +2,8 @@
 
 use rader_cilk::{AccessKind, FrameId, Loc, ReducerId, StrandId};
 
+use crate::journal::{take, take_u32, take_u64};
+
 /// One endpoint of a reported race.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessInfo {
@@ -146,11 +148,6 @@ impl ReportMerger {
         }
     }
 
-    /// The merged report so far.
-    pub fn report(&self) -> &RaceReport {
-        &self.report
-    }
-
     /// Consume the merger, yielding the merged report.
     pub fn finish(self) -> RaceReport {
         self.report
@@ -207,29 +204,11 @@ fn put_access(out: &mut Vec<u8>, a: &AccessInfo) {
     out.push(kind_to_u8(a.kind));
 }
 
-fn take<const N: usize>(b: &[u8], i: &mut usize) -> Result<[u8; N], String> {
-    let end = i
-        .checked_add(N)
-        .filter(|&e| e <= b.len())
-        .ok_or_else(|| format!("truncated report payload at byte {i}"))?;
-    let arr: [u8; N] = b[*i..end].try_into().unwrap();
-    *i = end;
-    Ok(arr)
-}
-
-fn take_u32(b: &[u8], i: &mut usize) -> Result<u32, String> {
-    Ok(u32::from_le_bytes(take::<4>(b, i)?))
-}
-
-fn take_u64(b: &[u8], i: &mut usize) -> Result<u64, String> {
-    Ok(u64::from_le_bytes(take::<8>(b, i)?))
-}
-
 fn take_access(b: &[u8], i: &mut usize) -> Result<AccessInfo, String> {
-    let frame = FrameId(take_u32(b, i)?);
-    let strand = StrandId(take_u64(b, i)?);
-    let write = take::<1>(b, i)?[0] != 0;
-    let kind = kind_from_u8(take::<1>(b, i)?[0])?;
+    let frame = FrameId(take_u32(b, i, "access frame")?);
+    let strand = StrandId(take_u64(b, i, "access strand")?);
+    let write = take::<1>(b, i, "access write flag")?[0] != 0;
+    let kind = kind_from_u8(take::<1>(b, i, "access kind")?[0])?;
     Ok(AccessInfo {
         frame,
         strand,
@@ -270,9 +249,9 @@ impl RaceReport {
     /// yield a partially decoded report.
     pub fn decode(b: &[u8], i: &mut usize) -> Result<RaceReport, String> {
         let mut report = RaceReport::default();
-        let n_det = take_u32(b, i)?;
+        let n_det = take_u32(b, i, "determinacy race count")?;
         for _ in 0..n_det {
-            let loc = Loc(take_u32(b, i)?);
+            let loc = Loc(take_u32(b, i, "race location")?);
             let prior = take_access(b, i)?;
             let current = take_access(b, i)?;
             report.determinacy.push(DeterminacyRace {
@@ -281,20 +260,20 @@ impl RaceReport {
                 current,
             });
         }
-        let n_vr = take_u32(b, i)?;
+        let n_vr = take_u32(b, i, "view-read race count")?;
         for _ in 0..n_vr {
             report.view_read.push(ViewReadRace {
-                reducer: ReducerId(take_u32(b, i)?),
-                prior_frame: FrameId(take_u32(b, i)?),
-                prior_strand: StrandId(take_u64(b, i)?),
-                frame: FrameId(take_u32(b, i)?),
-                strand: StrandId(take_u64(b, i)?),
+                reducer: ReducerId(take_u32(b, i, "view-read reducer")?),
+                prior_frame: FrameId(take_u32(b, i, "view-read prior frame")?),
+                prior_strand: StrandId(take_u64(b, i, "view-read prior strand")?),
+                frame: FrameId(take_u32(b, i, "view-read frame")?),
+                strand: StrandId(take_u64(b, i, "view-read strand")?),
             });
         }
-        let n_labels = take_u32(b, i)?;
+        let n_labels = take_u32(b, i, "frame label count")?;
         for _ in 0..n_labels {
-            let frame = FrameId(take_u32(b, i)?);
-            let len = take_u32(b, i)? as usize;
+            let frame = FrameId(take_u32(b, i, "label frame")?);
+            let len = take_u32(b, i, "frame label length")? as usize;
             let end = i
                 .checked_add(len)
                 .filter(|&e| e <= b.len())

@@ -16,7 +16,7 @@
 
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
 use rader_cilk::{BlockOp, BlockScript, Ctx, ProgramTrace, RunStats, SerialEngine, StealSpec};
-use rader_core::{coverage, CoverageOptions, SpPlus};
+use rader_core::SpPlus;
 use rader_rng::Rng;
 
 /// A random `EveryBlock` script: strictly increasing steal indices with
@@ -117,40 +117,4 @@ fn replayed_spplus_is_byte_identical_to_fresh_execution() {
         "aliasing corpus never triggered divergence; the fallback \
          contract is untested"
     );
-}
-
-#[test]
-fn exhaustive_driver_replay_matches_reexecution() {
-    // End-to-end: the sweep driver with replay on vs off must agree on
-    // everything user-visible, including on aliasing programs where some
-    // specs fall back to re-execution.
-    let cfg = GenConfig {
-        view_aliasing: true,
-        size: 30,
-        ..GenConfig::default()
-    };
-    for seed in [0u64, 5, 11, 23, 37] {
-        let prog = gen_program(seed, &cfg);
-        let run = |cx: &mut Ctx<'_>| {
-            run_synth(cx, &prog);
-        };
-        let via_replay = coverage::exhaustive_check_parallel(run, &CoverageOptions::default(), 1);
-        let via_rerun = coverage::exhaustive_check_parallel(
-            run,
-            &CoverageOptions {
-                replay: false,
-                ..CoverageOptions::default()
-            },
-            1,
-        );
-        assert_eq!(via_replay.report, via_rerun.report, "seed {seed}");
-        assert_eq!(via_replay.findings, via_rerun.findings, "seed {seed}");
-        assert_eq!(via_replay.runs, via_rerun.runs, "seed {seed}");
-        assert_eq!(
-            (via_replay.k, via_replay.m),
-            (via_rerun.k, via_rerun.m),
-            "seed {seed}"
-        );
-        assert_eq!(via_rerun.replayed, 0, "seed {seed}");
-    }
 }

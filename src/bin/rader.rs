@@ -3,12 +3,11 @@
 //! Run `rader help` for usage. Exit codes: 0 clean, 1 races found
 //! (`suite`), 2 usage error.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
-use rader::cli::{self, Command, ExhaustiveOpts, SuiteOpts, SynthOpts};
-use rader::core::{
-    coverage, CheckpointPolicy, CoverageOptions, FaultPlan, Rader, SweepControl, SCHEMA_VERSION,
-};
+use rader::cli::{self, Command, SuiteOpts, SweepOpts, SynthOpts};
+use rader::core::{coverage, CoverageOptions, FaultPlan, Rader, SCHEMA_VERSION};
 use rader::suite::{self, SuiteOptions};
 use rader::workloads::{self, fig1, Scale};
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
@@ -58,18 +57,27 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.1}ms", ns as f64 / 1e6)
 }
 
-/// Assemble the deterministic fault plan from the CLI flags, if any.
-/// A bare `--fault-seed` with no `--fault-panic-at` yields a plan that
-/// injects nothing — harmless, and it keeps the flags orthogonal.
-fn build_faults(seed: Option<u64>, panic_at: &[usize]) -> Option<FaultPlan> {
-    if seed.is_none() && panic_at.is_empty() {
-        return None;
+/// The sweep settings from the flags `suite` and `exhaustive` share.
+/// A bare `--fault-seed` with no `--fault-panic-at` yields a fault plan
+/// that injects nothing — harmless, and it keeps the flags orthogonal.
+fn sweep_options(o: &SweepOpts) -> SuiteOptions {
+    let faults = (o.fault_seed.is_some() || !o.fault_panic_at.is_empty()).then(|| {
+        o.fault_panic_at
+            .iter()
+            .fold(FaultPlan::new(o.fault_seed.unwrap_or(0)), |plan, &i| {
+                plan.panic_at(i)
+            })
+    });
+    let defaults = SuiteOptions::default();
+    SuiteOptions {
+        threads: o.threads.unwrap_or(defaults.threads),
+        max_k: o.max_k,
+        max_spawn_count: o.max_spawn_count,
+        checkpoint: o.checkpoint.clone(),
+        resume: o.resume.clone(),
+        budget: o.budget.map(Duration::from_secs_f64),
+        faults,
     }
-    let mut plan = FaultPlan::new(seed.unwrap_or(0));
-    for &i in panic_at {
-        plan = plan.panic_at(i);
-    }
-    Some(plan)
 }
 
 /// Print the partial-coverage and quarantine sections for one verdict's
@@ -101,18 +109,7 @@ fn cmd_suite(o: &SuiteOpts) {
     if o.racy {
         table.push(fig1::workload_racy(scale));
     }
-    let defaults = SuiteOptions::default();
-    let opts = SuiteOptions {
-        threads: o.threads.unwrap_or(defaults.threads),
-        max_k: o.max_k,
-        max_spawn_count: o.max_spawn_count,
-        replay: !o.reexecute,
-        checkpoint: o.checkpoint.clone(),
-        resume: o.resume.clone(),
-        budget: o.budget.map(Duration::from_secs_f64),
-        faults: build_faults(o.fault_seed, &o.fault_panic_at),
-    };
-    let report = match suite::run_suite(&table, &opts) {
+    let report = match suite::run_suite(&table, &sweep_options(&o.sweep)) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("rader: {e}");
@@ -222,35 +219,15 @@ fn cmd_synth(o: &SynthOpts) {
     }
 }
 
-fn cmd_exhaustive(o: &ExhaustiveOpts) {
-    // --reexecute turns off the record-once/replay-many fast path and
-    // re-runs the user program for every steal specification instead.
-    let opts = CoverageOptions {
-        replay: !o.reexecute,
-        max_k: o.max_k,
-        max_spawn_count: o.max_spawn_count,
-        ..CoverageOptions::default()
-    };
-    let threads = o.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    let ctl = SweepControl {
-        checkpoint: match (&o.resume, &o.checkpoint) {
-            (Some(path), _) => CheckpointPolicy::Resume(path.into()),
-            (None, Some(path)) => CheckpointPolicy::Record(path.into()),
-            (None, None) => CheckpointPolicy::Off,
-        },
-        budget: o.budget.map(Duration::from_secs_f64),
-        faults: build_faults(o.fault_seed, &o.fault_panic_at),
-        label: "fig1-exhaustive".to_string(),
-    };
+fn cmd_exhaustive(o: &SweepOpts) {
+    let opts = sweep_options(o);
+    let threads = opts.threads;
+    let ctl = opts.sweep_control("fig1-exhaustive", |path| PathBuf::from(path));
     let sweep = match coverage::exhaustive_check_parallel_ctl(
         |cx| {
             fig1::race_program(cx, 12);
         },
-        &opts,
+        &opts.coverage(),
         threads,
         &ctl,
     ) {

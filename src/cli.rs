@@ -14,10 +14,7 @@ use std::str::FromStr;
 /// Usage string shown on `rader help` and after a parse error.
 pub const USAGE: &str = "usage: rader <command> [options]
   fig1                         detect the paper's Figure-1 races
-  suite [--paper] [--racy] [--json PATH] [--threads N]
-        [--max-k N] [--max-spawn-count N] [--reexecute]
-        [--checkpoint PATH | --resume PATH] [--budget SECS]
-        [--fault-seed N] [--fault-panic-at N]
+  suite [--paper] [--racy] [--json PATH] SWEEP-FLAGS
                                run the benchmark table under the full
                                Section-7 sweep; exit 1 if races found.
                                --checkpoint journals completed chunks to
@@ -29,14 +26,15 @@ pub const USAGE: &str = "usage: rader <command> [options]
                                inject deterministic worker faults
   synth --seed N [--aliasing] [--dot]
                                generate & exhaustively check a random program
-  exhaustive [--reexecute] [--threads N] [--max-k N] [--max-spawn-count N]
-             [--checkpoint PATH | --resume PATH] [--budget SECS]
-             [--fault-seed N] [--fault-panic-at N]
-                               Section-7 sweep on Figure 1 with reproducer specs
+  exhaustive SWEEP-FLAGS       Section-7 sweep on Figure 1 with reproducer specs
   dot [--steals]               print the Figure-2 example dag as Graphviz
   json-check PATH              validate that PATH parses as JSON and, for
                                versioned reports, that schema_version
-                               matches this binary (CI helper)";
+                               matches this binary (CI helper)
+SWEEP-FLAGS (suite and exhaustive):
+  [--threads N] [--max-k N] [--max-spawn-count N]
+  [--checkpoint PATH | --resume PATH] [--budget SECS]
+  [--fault-seed N] [--fault-panic-at N]";
 
 /// A fully parsed invocation of the `rader` binary.
 ///
@@ -50,7 +48,7 @@ pub enum Command {
     /// `rader synth ...`
     Synth(SynthOpts),
     /// `rader exhaustive ...`
-    Exhaustive(ExhaustiveOpts),
+    Exhaustive(SweepOpts),
     /// `rader dot [--steals]`
     Dot {
         /// Render the dag under a stealing schedule (Figure-5 reduce tree).
@@ -72,22 +70,28 @@ pub struct SuiteOpts {
     pub paper: bool,
     /// Append the buggy Figure-1 workload to the table.
     pub racy: bool,
-    /// Disable the record/replay fast path (re-execute per spec).
-    pub reexecute: bool,
     /// Write per-workload JSON records to this path.
     pub json: Option<String>,
+    /// The sweep flags shared with `rader exhaustive`.
+    pub sweep: SweepOpts,
+}
+
+/// The sweep flags `rader suite` and `rader exhaustive` share.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SweepOpts {
     /// Sweep threads (defaults to the machine's available parallelism).
     pub threads: Option<usize>,
     /// Cap on the reduce-family sync-block size `K`.
     pub max_k: Option<u32>,
     /// Cap on the update-family spawn count `M`.
     pub max_spawn_count: Option<u32>,
-    /// Journal completed sweep chunks to `PATH.<workload>.ckpt`.
+    /// Journal completed sweep chunks: to `PATH.<workload>.ckpt` for
+    /// `suite`, to `PATH` itself for `exhaustive`.
     pub checkpoint: Option<String>,
-    /// Resume from (and keep appending to) `PATH.<workload>.ckpt`
-    /// journals; mutually exclusive with `--checkpoint`.
+    /// Resume from (and keep appending to) journals named as for
+    /// `--checkpoint`; mutually exclusive with it.
     pub resume: Option<String>,
-    /// Per-workload sweep wall-clock budget in seconds.
+    /// Sweep wall-clock budget in seconds (per workload for `suite`).
     pub budget: Option<f64>,
     /// Seed for the deterministic fault-injection plan.
     pub fault_seed: Option<u64>,
@@ -104,30 +108,6 @@ pub struct SynthOpts {
     pub aliasing: bool,
     /// Also print the computation dag as Graphviz.
     pub dot: bool,
-}
-
-/// Options for `rader exhaustive`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExhaustiveOpts {
-    /// Disable the record/replay fast path.
-    pub reexecute: bool,
-    /// Sweep threads (defaults to the machine's available parallelism).
-    pub threads: Option<usize>,
-    /// Cap on the reduce-family sync-block size `K`.
-    pub max_k: Option<u32>,
-    /// Cap on the update-family spawn count `M`.
-    pub max_spawn_count: Option<u32>,
-    /// Journal completed sweep chunks to this file.
-    pub checkpoint: Option<String>,
-    /// Resume from (and keep appending to) this journal file; mutually
-    /// exclusive with `--checkpoint`.
-    pub resume: Option<String>,
-    /// Sweep wall-clock budget in seconds.
-    pub budget: Option<f64>,
-    /// Seed for the deterministic fault-injection plan.
-    pub fault_seed: Option<u64>,
-    /// Spec indices whose sweep runs are forced to panic (repeatable).
-    pub fault_panic_at: Vec<usize>,
 }
 
 /// Parse a `--flag value` numeric operand at `args[*i + 1]`, advancing
@@ -176,50 +156,77 @@ fn take_budget(args: &[String], i: &mut usize) -> Result<f64, String> {
     Ok(secs)
 }
 
-/// `--checkpoint` and `--resume` are mutually exclusive (a resumed sweep
-/// already appends new checkpoints to the same journal).
-fn reject_checkpoint_resume(
-    checkpoint: &Option<String>,
-    resume: &Option<String>,
-) -> Result<(), String> {
-    if checkpoint.is_some() && resume.is_some() {
+impl SweepOpts {
+    /// Consume the sweep flag at `args[*i]` (and its operand), returning
+    /// `false` if it is not a sweep flag.
+    fn take_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        match args[*i].as_str() {
+            "--threads" => self.threads = Some(take_positive(args, i, "--threads")?),
+            "--max-k" => self.max_k = Some(take_positive(args, i, "--max-k")? as u32),
+            "--max-spawn-count" => {
+                self.max_spawn_count = Some(take_positive(args, i, "--max-spawn-count")? as u32)
+            }
+            "--checkpoint" => self.checkpoint = Some(take_path(args, i, "--checkpoint")?),
+            "--resume" => self.resume = Some(take_path(args, i, "--resume")?),
+            "--budget" => self.budget = Some(take_budget(args, i)?),
+            "--fault-seed" => self.fault_seed = Some(take_number(args, i, "--fault-seed")?),
+            "--fault-panic-at" => {
+                self.fault_panic_at
+                    .push(take_number(args, i, "--fault-panic-at")?)
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Parse the flags of a sweep command (`args[0]`): the command's own
+/// flags via `own` (which returns `false` for flags it does not know),
+/// then the shared [`SweepOpts`] flags. `--checkpoint` and `--resume` are
+/// mutually exclusive (a resumed sweep already appends new checkpoints
+/// to the journal it continues).
+fn parse_sweep(
+    args: &[String],
+    mut own: impl FnMut(&[String], &mut usize) -> Result<bool, String>,
+) -> Result<SweepOpts, String> {
+    let mut o = SweepOpts::default();
+    let mut i = 1;
+    while i < args.len() {
+        if !own(args, &mut i)? && !o.take_flag(args, &mut i)? {
+            return Err(format!(
+                "unknown argument {:?} for `rader {}`",
+                args[i], args[0]
+            ));
+        }
+        i += 1;
+    }
+    if o.checkpoint.is_some() && o.resume.is_some() {
         return Err(
             "--checkpoint and --resume are mutually exclusive (resume already \
              appends new checkpoints to the journal it continues)"
                 .to_string(),
         );
     }
-    Ok(())
+    Ok(o)
 }
 
 fn parse_suite(args: &[String]) -> Result<SuiteOpts, String> {
-    let mut o = SuiteOpts::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--paper" => o.paper = true,
-            "--racy" => o.racy = true,
-            "--reexecute" => o.reexecute = true,
-            "--json" => o.json = Some(take_path(args, &mut i, "--json")?),
-            "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")? as u32),
-            "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")? as u32)
-            }
-            "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
-            "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
-            "--budget" => o.budget = Some(take_budget(args, &mut i)?),
-            "--fault-seed" => o.fault_seed = Some(take_number(args, &mut i, "--fault-seed")?),
-            "--fault-panic-at" => {
-                o.fault_panic_at
-                    .push(take_number(args, &mut i, "--fault-panic-at")?)
-            }
-            other => return Err(format!("unknown argument {other:?} for `rader suite`")),
+    let (mut paper, mut racy, mut json) = (false, false, None);
+    let sweep = parse_sweep(args, |args, i| {
+        match args[*i].as_str() {
+            "--paper" => paper = true,
+            "--racy" => racy = true,
+            "--json" => json = Some(take_path(args, i, "--json")?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    reject_checkpoint_resume(&o.checkpoint, &o.resume)?;
-    Ok(o)
+        Ok(true)
+    })?;
+    Ok(SuiteOpts {
+        paper,
+        racy,
+        json,
+        sweep,
+    })
 }
 
 fn parse_synth(args: &[String]) -> Result<SynthOpts, String> {
@@ -234,33 +241,6 @@ fn parse_synth(args: &[String]) -> Result<SynthOpts, String> {
         }
         i += 1;
     }
-    Ok(o)
-}
-
-fn parse_exhaustive(args: &[String]) -> Result<ExhaustiveOpts, String> {
-    let mut o = ExhaustiveOpts::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reexecute" => o.reexecute = true,
-            "--threads" => o.threads = Some(take_positive(args, &mut i, "--threads")?),
-            "--max-k" => o.max_k = Some(take_positive(args, &mut i, "--max-k")? as u32),
-            "--max-spawn-count" => {
-                o.max_spawn_count = Some(take_positive(args, &mut i, "--max-spawn-count")? as u32)
-            }
-            "--checkpoint" => o.checkpoint = Some(take_path(args, &mut i, "--checkpoint")?),
-            "--resume" => o.resume = Some(take_path(args, &mut i, "--resume")?),
-            "--budget" => o.budget = Some(take_budget(args, &mut i)?),
-            "--fault-seed" => o.fault_seed = Some(take_number(args, &mut i, "--fault-seed")?),
-            "--fault-panic-at" => {
-                o.fault_panic_at
-                    .push(take_number(args, &mut i, "--fault-panic-at")?)
-            }
-            other => return Err(format!("unknown argument {other:?} for `rader exhaustive`")),
-        }
-        i += 1;
-    }
-    reject_checkpoint_resume(&o.checkpoint, &o.resume)?;
     Ok(o)
 }
 
@@ -285,7 +265,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         },
         "suite" => parse_suite(args).map(Command::Suite),
         "synth" => parse_synth(args).map(Command::Synth),
-        "exhaustive" => parse_exhaustive(args).map(Command::Exhaustive),
+        "exhaustive" => parse_sweep(args, |_, _| Ok(false)).map(Command::Exhaustive),
         "dot" => parse_dot(args),
         "json-check" => match (args.get(1), args.get(2)) {
             (Some(path), None) => Ok(Command::JsonCheck { path: path.clone() }),
@@ -332,14 +312,14 @@ mod tests {
             panic!("suite did not parse");
         };
         assert_eq!(o.json.as_deref(), Some("out.json"));
-        assert_eq!(o.threads, Some(4));
-        assert_eq!(o.max_k, Some(6));
+        assert_eq!(o.sweep.threads, Some(4));
+        assert_eq!(o.sweep.max_k, Some(6));
         assert!(o.racy && !o.paper);
     }
 
     #[test]
     fn checkpoint_budget_and_fault_flags_parse() {
-        let Ok(Command::Suite(o)) = parse_strs(&[
+        let Ok(Command::Suite(SuiteOpts { sweep: o, .. })) = parse_strs(&[
             "suite",
             "--checkpoint",
             "target/ckpt",
@@ -423,10 +403,18 @@ mod tests {
         assert!(err.contains("--jsn"), "{err}");
         let err = parse_strs(&["fig1", "--verbose"]).unwrap_err();
         assert!(err.contains("--verbose"), "{err}");
-        // The sweep has one scheduler and one chunk rule; no flag selects them.
-        for removed in [&["suite", "--strided"][..], &["suite", "--chunk", "4"]] {
+        // The sweep has one scheduler, one chunk rule and one way to run
+        // a spec (replay, re-executing only on divergence); no flag
+        // selects them.
+        for removed in [
+            &["suite", "--strided"][..],
+            &["suite", "--chunk", "4"],
+            &["suite", "--reexecute"],
+            &["exhaustive", "--reexecute"],
+        ] {
             let err = parse_strs(removed).unwrap_err();
             assert!(err.contains(removed[1]), "{err}");
+            assert!(err.contains(removed[0]), "{err}");
         }
     }
 }

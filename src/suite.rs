@@ -49,8 +49,6 @@ pub struct SuiteOptions {
     pub max_k: Option<u32>,
     /// Cap on the update-family spawn count `M` (`None`: measured M).
     pub max_spawn_count: Option<u32>,
-    /// Use the record/replay fast path (`false`: re-execute per spec).
-    pub replay: bool,
     /// Record sweep checkpoints: each workload journals completed chunks
     /// to `{prefix}.{name}.ckpt` under this path prefix.
     pub checkpoint: Option<String>,
@@ -68,6 +66,32 @@ pub struct SuiteOptions {
     pub faults: Option<FaultPlan>,
 }
 
+impl SuiteOptions {
+    /// The coverage plan these options select.
+    pub fn coverage(&self) -> CoverageOptions {
+        CoverageOptions {
+            max_k: self.max_k,
+            max_spawn_count: self.max_spawn_count,
+        }
+    }
+
+    /// The controls for one sweep: `label` goes into the checkpoint
+    /// fingerprint, and `journal` maps the `checkpoint`/`resume` operand
+    /// to the journal file.
+    pub fn sweep_control(&self, label: &str, journal: impl Fn(&str) -> PathBuf) -> SweepControl {
+        SweepControl {
+            checkpoint: match (&self.resume, &self.checkpoint) {
+                (Some(path), _) => CheckpointPolicy::Resume(journal(path)),
+                (None, Some(path)) => CheckpointPolicy::Record(journal(path)),
+                (None, None) => CheckpointPolicy::Off,
+            },
+            budget: self.budget,
+            faults: self.faults.clone(),
+            label: label.to_string(),
+        }
+    }
+}
+
 impl Default for SuiteOptions {
     fn default() -> Self {
         SuiteOptions {
@@ -76,7 +100,6 @@ impl Default for SuiteOptions {
                 .unwrap_or(1),
             max_k: None,
             max_spawn_count: None,
-            replay: true,
             checkpoint: None,
             resume: None,
             budget: None,
@@ -232,25 +255,13 @@ pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdi
     let wall = Instant::now();
     let mut peers = PeerSet::new();
     let stats = SerialEngine::new().run_tool(&mut peers, |cx| (w.run)(cx));
-    let cov = CoverageOptions {
-        max_k: opts.max_k,
-        max_spawn_count: opts.max_spawn_count,
-        replay: opts.replay,
-        ..CoverageOptions::default()
-    };
-    let checkpoint = match (&opts.resume, &opts.checkpoint) {
-        (Some(prefix), _) => CheckpointPolicy::Resume(journal_path(prefix, w.name)),
-        (None, Some(prefix)) => CheckpointPolicy::Record(journal_path(prefix, w.name)),
-        (None, None) => CheckpointPolicy::Off,
-    };
-    let ctl = SweepControl {
-        checkpoint,
-        budget: opts.budget,
-        faults: opts.faults.clone(),
-        label: w.name.to_string(),
-    };
-    let sweep =
-        coverage::exhaustive_check_parallel_ctl(|cx| (w.run)(cx), &cov, opts.threads, &ctl)?;
+    let ctl = opts.sweep_control(w.name, |prefix| journal_path(prefix, w.name));
+    let sweep = coverage::exhaustive_check_parallel_ctl(
+        |cx| (w.run)(cx),
+        &opts.coverage(),
+        opts.threads,
+        &ctl,
+    )?;
     let mut report = peers.report().clone();
     report.merge(&sweep.report);
     let races = report.determinacy.len() + report.view_read.len();
