@@ -95,6 +95,17 @@ if "$RADER" json-check target/stale-schema.json >/dev/null 2>&1; then
     echo "ERROR: json-check should reject a mismatched schema_version" >&2
     exit 1
 fi
+# Deeply nested JSON must hit the validator's depth cap (exit 1 naming
+# the nesting), not overflow its stack.
+head -c 200000 /dev/zero | tr '\0' '[' >target/deep-json.json
+head -c 200000 /dev/zero | tr '\0' ']' >>target/deep-json.json
+DEEP_STATUS=0
+"$RADER" json-check target/deep-json.json >/dev/null 2>target/deep-json.err || DEEP_STATUS=$?
+if [ "$DEEP_STATUS" -ne 1 ]; then
+    echo "ERROR: json-check on 200000-deep nesting should exit 1, got $DEEP_STATUS" >&2
+    exit 1
+fi
+grep -q 'nesting deeper than' target/deep-json.err
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== rustfmt =="

@@ -21,6 +21,7 @@
 //! coverage guarantee for races involving at least one view-oblivious
 //! strand.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,7 +32,6 @@ use rader_cilk::{
     ViewMonoid, Word,
 };
 
-use crate::fault::{Fault, FaultPlan};
 use crate::journal::{self, CheckpointPolicy, ChunkRecord, JournalWriter, SpecOutcome};
 use crate::report::{RaceReport, ReportMerger};
 use crate::spplus::SpPlus;
@@ -102,7 +102,7 @@ fn plan_chunks(specs: &[StealSpec], first: usize) -> Vec<(usize, usize)> {
 /// Kept separate from [`CoverageOptions`] (which stays `Copy` and fully
 /// determines the spec list) so the checkpoint fingerprint can bind to
 /// the plan while the controls vary freely across a record/resume pair.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepControl {
     /// Stream completed chunks to a journal, or resume from one.
     pub checkpoint: CheckpointPolicy,
@@ -113,9 +113,10 @@ pub struct SweepControl {
     /// then pairs/singletons — so the time that *is* spent buys the
     /// broadest families.
     pub budget: Option<Duration>,
-    /// Deterministically inject faults at spec boundaries (testing the
-    /// quarantine and journaling machinery).
-    pub faults: Option<FaultPlan>,
+    /// Spec indices whose runs are forced to panic, so the quarantine
+    /// and journaling machinery can be exercised on demand. The same
+    /// indices panic on every run and every thread count.
+    pub panic_at: BTreeSet<usize>,
     /// Name mixed into the checkpoint fingerprint (the suite passes the
     /// workload name) so one workload's journal can never resume
     /// another's sweep.
@@ -179,7 +180,7 @@ fn claim_order(specs: &[StealSpec], chunks: &[(usize, usize)], prioritize: bool)
 }
 
 /// Options for [`exhaustive_check_parallel`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoverageOptions {
     /// Cap on the sync-block size swept by the reduce family (the cubic
     /// family gets large quickly; `None` uses the measured K).
@@ -297,18 +298,6 @@ pub struct ExhaustiveReport {
     pub timing: SweepTiming,
 }
 
-impl ExhaustiveReport {
-    /// Re-run SP+ under a stored finding's specification, reproducing it.
-    pub fn reproduce(
-        program: impl Fn(&mut Ctx<'_>),
-        finding: &(StealSpec, RaceReport),
-    ) -> RaceReport {
-        let mut tool = SpPlus::new();
-        SerialEngine::with_spec(finding.0.clone()).run_tool(&mut tool, program);
-        tool.into_report()
-    }
-}
-
 /// Escape a string for a JSON string literal (sweep family names, panic
 /// payloads and bench labels may contain arbitrary text). The one
 /// escaper behind every JSON writer in the workspace.
@@ -423,10 +412,10 @@ fn ddmin(ops: &[BlockOp], mut keep: impl FnMut(&StealSpec) -> bool) -> StealSpec
 }
 
 /// Sweep one chunk of specs with a pooled tool, isolating per-spec
-/// panics: an unwinding run (misbehaving monoid body, or an injected
-/// [`Fault::Panic`]) is caught, the spec is quarantined with its payload
-/// and a minimized reproducer, and the pooled tool is retired for a
-/// fresh one (its detection state is suspect after an unwind; its check
+/// panics: an unwinding run (misbehaving monoid body, or a panic
+/// injected at an index in `panic_at`) is caught, the spec is
+/// quarantined with its payload and a minimized reproducer, and the
+/// pooled tool is retired for a fresh one (its detection state is suspect after an unwind; its check
 /// count — deterministic even for the partial run — carries forward).
 fn sweep_chunk(
     program: &(impl Fn(&mut Ctx<'_>) + Sync),
@@ -435,23 +424,16 @@ fn sweep_chunk(
     chunk_index: usize,
     span: (usize, usize),
     tool: &mut SpPlus,
-    faults: Option<&FaultPlan>,
+    panic_at: &BTreeSet<usize>,
 ) -> ChunkRecord {
     let (start, end) = span;
     let before = tool.checks;
     let mut outcomes = Vec::with_capacity(end - start);
     for i in start..end {
-        let fault = faults.map_or(Fault::None, |f| f.fault_for(i));
-        if let Fault::Delay(d) = fault {
-            std::thread::sleep(d);
-        }
-        let injected = matches!(fault, Fault::Panic);
+        let injected = panic_at.contains(&i);
         let result = catch_unwind(AssertUnwindSafe(|| {
             if injected {
-                panic!(
-                    "injected fault at spec {i} (seed {})",
-                    faults.map_or(0, FaultPlan::seed)
-                );
+                panic!("injected fault at spec {i}");
             }
             sweep_one(program, trace, &specs[i], tool)
         }));
@@ -486,8 +468,8 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 
 /// [`exhaustive_check_parallel`] with fault-tolerance controls: a
 /// checkpoint journal ([`SweepControl::checkpoint`]), a wall-clock
-/// budget ([`SweepControl::budget`]), and deterministic fault injection
-/// ([`SweepControl::faults`]).
+/// budget ([`SweepControl::budget`]), and injected panics
+/// ([`SweepControl::panic_at`]).
 ///
 /// Completed chunks stream to the journal as single appends, so a
 /// `SIGKILL` at any moment loses at most the chunks in flight; resuming
@@ -568,7 +550,7 @@ pub fn exhaustive_check_parallel_ctl(
         let queue = &queue;
         let writer = writer.as_ref();
         let journal_err = &journal_err;
-        let faults = ctl.faults.as_ref();
+        let panic_at = &ctl.panic_at;
         let mut handles = Vec::new();
         for _ in 0..threads {
             handles.push(scope.spawn(move || {
@@ -588,7 +570,7 @@ pub fn exhaustive_check_parallel_ctl(
                     if done.contains_key(&c) {
                         continue; // already served by the journal
                     }
-                    let rec = sweep_chunk(program, trace, specs, c, chunks[c], &mut tool, faults);
+                    let rec = sweep_chunk(program, trace, specs, c, chunks[c], &mut tool, panic_at);
                     if let Some(w) = writer {
                         if let Err(e) = lock(w).write_chunk(&rec) {
                             *lock(journal_err) = Some(e);
@@ -1043,7 +1025,7 @@ mod tests {
         let opts = CoverageOptions::default();
         let full = exhaustive_check_parallel(racy8, &opts, 2);
         let ctl = SweepControl {
-            faults: Some(FaultPlan::new(7).panic_at(5)),
+            panic_at: BTreeSet::from([5]),
             ..SweepControl::default()
         };
         let rep = exhaustive_check_parallel_ctl(racy8, &opts, 2, &ctl).unwrap();
@@ -1323,9 +1305,9 @@ mod tests {
         };
         let rep = exhaustive_check_parallel(program, &CoverageOptions::default(), 1);
         assert!(!rep.findings.is_empty());
-        for finding in &rep.findings {
-            let again = ExhaustiveReport::reproduce(program, finding);
-            assert_eq!(again.racy_locs(), finding.1.racy_locs());
+        for (spec, report) in &rep.findings {
+            let again = crate::Rader::new().check_determinacy(spec.clone(), program);
+            assert_eq!(again.racy_locs(), report.racy_locs());
         }
     }
 

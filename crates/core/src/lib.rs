@@ -42,7 +42,6 @@
 //! ```
 
 pub mod coverage;
-pub mod fault;
 pub mod journal;
 pub mod peerset;
 pub mod report;
@@ -55,7 +54,6 @@ pub use coverage::{
     exhaustive_check_parallel, exhaustive_check_parallel_ctl, json_escape, minimize_spec,
     CoverageOptions, ExhaustiveReport, Quarantined, SweepControl, SweepTiming,
 };
-pub use fault::{Fault, FaultPlan};
 pub use journal::{CheckpointPolicy, SCHEMA_VERSION};
 pub use peerset::PeerSet;
 pub use report::{AccessInfo, DeterminacyRace, RaceReport, ViewReadRace};

@@ -86,27 +86,17 @@ impl RaceReport {
     }
 
     /// Merge another report into this one, keeping one race per
-    /// location/reducer.
-    ///
-    /// One-shot merges build their dedup sets on the fly; a driver
-    /// folding many reports (the exhaustive sweep) should use
-    /// [`ReportMerger`], which keeps the sets across calls instead of
-    /// rebuilding them per merge.
+    /// location/reducer (the [`ReportMerger`] rule, seeded with this
+    /// report's races). A driver folding many reports (the exhaustive
+    /// sweep) should keep one [`ReportMerger`] across calls instead.
     pub fn merge(&mut self, other: &RaceReport) {
-        self.frame_labels
-            .extend(other.frame_labels.iter().map(|(k, v)| (*k, *v)));
-        let mut locs = self.racy_locs();
-        for r in &other.determinacy {
-            if locs.insert(r.loc) {
-                self.determinacy.push(*r);
-            }
-        }
-        let mut reds = self.racy_reducers();
-        for r in &other.view_read {
-            if reds.insert(r.reducer) {
-                self.view_read.push(*r);
-            }
-        }
+        let mut merger = ReportMerger {
+            locs: self.racy_locs(),
+            reducers: self.racy_reducers(),
+            report: std::mem::take(self),
+        };
+        merger.merge(other);
+        *self = merger.finish();
     }
 }
 
@@ -131,7 +121,7 @@ impl ReportMerger {
     }
 
     /// Fold `other` in: first race per location/reducer wins, in merge
-    /// order (matching [`RaceReport::merge`] semantics exactly).
+    /// order.
     pub fn merge(&mut self, other: &RaceReport) {
         self.report
             .frame_labels

@@ -3,11 +3,8 @@
 //! Run `rader help` for usage. Exit codes: 0 clean, 1 races found
 //! (`suite`), 2 usage error.
 
-use std::path::PathBuf;
-use std::time::Duration;
-
-use rader::cli::{self, Command, SuiteOpts, SweepOpts, SynthOpts};
-use rader::core::{coverage, CoverageOptions, FaultPlan, Rader, SCHEMA_VERSION};
+use rader::cli::{self, Command, SuiteOpts, SynthOpts};
+use rader::core::{coverage, CoverageOptions, Rader, SCHEMA_VERSION};
 use rader::suite::{self, SuiteOptions};
 use rader::workloads::{self, fig1, Scale};
 use rader_cilk::synth::{gen_program, run_synth, GenConfig};
@@ -28,7 +25,7 @@ fn main() {
         Command::Fig1 => cmd_fig1(),
         Command::Suite(o) => cmd_suite(&o),
         Command::Synth(o) => cmd_synth(&o),
-        Command::Exhaustive(o) => cmd_exhaustive(&o),
+        Command::Exhaustive(o) => cmd_exhaustive(o),
         Command::Dot { steals } => cmd_dot(steals),
         Command::JsonCheck { path } => cmd_json_check(&path),
         Command::Help => println!("{}", cli::USAGE),
@@ -55,29 +52,6 @@ fn cmd_fig1() {
 
 fn fmt_ms(ns: u64) -> String {
     format!("{:.1}ms", ns as f64 / 1e6)
-}
-
-/// The sweep settings from the flags `suite` and `exhaustive` share.
-/// A bare `--fault-seed` with no `--fault-panic-at` yields a fault plan
-/// that injects nothing — harmless, and it keeps the flags orthogonal.
-fn sweep_options(o: &SweepOpts) -> SuiteOptions {
-    let faults = (o.fault_seed.is_some() || !o.fault_panic_at.is_empty()).then(|| {
-        o.fault_panic_at
-            .iter()
-            .fold(FaultPlan::new(o.fault_seed.unwrap_or(0)), |plan, &i| {
-                plan.panic_at(i)
-            })
-    });
-    let defaults = SuiteOptions::default();
-    SuiteOptions {
-        threads: o.threads.unwrap_or(defaults.threads),
-        max_k: o.max_k,
-        max_spawn_count: o.max_spawn_count,
-        checkpoint: o.checkpoint.clone(),
-        resume: o.resume.clone(),
-        budget: o.budget.map(Duration::from_secs_f64),
-        faults,
-    }
 }
 
 /// Print the partial-coverage and quarantine sections for one verdict's
@@ -109,7 +83,7 @@ fn cmd_suite(o: &SuiteOpts) {
     if o.racy {
         table.push(fig1::workload_racy(scale));
     }
-    let report = match suite::run_suite(&table, &sweep_options(&o.sweep)) {
+    let report = match suite::run_suite(&table, &o.sweep) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("rader: {e}");
@@ -219,17 +193,16 @@ fn cmd_synth(o: &SynthOpts) {
     }
 }
 
-fn cmd_exhaustive(o: &SweepOpts) {
-    let opts = sweep_options(o);
+fn cmd_exhaustive(mut opts: SuiteOptions) {
     let threads = opts.threads;
-    let ctl = opts.sweep_control("fig1-exhaustive", |path| PathBuf::from(path));
+    opts.control.label = "fig1-exhaustive".to_string();
     let sweep = match coverage::exhaustive_check_parallel_ctl(
         |cx| {
             fig1::race_program(cx, 12);
         },
-        &opts.coverage(),
+        &opts.coverage,
         threads,
-        &ctl,
+        &opts.control,
     ) {
         Ok(sweep) => sweep,
         Err(e) => {

@@ -9,7 +9,13 @@
 //! flag; `main` prints it and exits 2.
 
 use std::fmt::Display;
+use std::path::PathBuf;
 use std::str::FromStr;
+use std::time::Duration;
+
+use rader_core::CheckpointPolicy;
+
+use crate::suite::SuiteOptions;
 
 /// Usage string shown on `rader help` and after a parse error.
 pub const USAGE: &str = "usage: rader <command> [options]
@@ -22,8 +28,8 @@ pub const USAGE: &str = "usage: rader <command> [options]
                                and continues such journals; --budget
                                stops each sweep at the deadline with a
                                partial (explicitly under-approximate)
-                               verdict; --fault-seed/--fault-panic-at
-                               inject deterministic worker faults
+                               verdict; --fault-panic-at N makes spec
+                               N's run panic (repeatable)
   synth --seed N [--aliasing] [--dot]
                                generate & exhaustively check a random program
   exhaustive SWEEP-FLAGS       Section-7 sweep on Figure 1 with reproducer specs
@@ -34,12 +40,10 @@ pub const USAGE: &str = "usage: rader <command> [options]
 SWEEP-FLAGS (suite and exhaustive):
   [--threads N] [--max-k N] [--max-spawn-count N]
   [--checkpoint PATH | --resume PATH] [--budget SECS]
-  [--fault-seed N] [--fault-panic-at N]";
+  [--fault-panic-at N]";
 
 /// A fully parsed invocation of the `rader` binary.
-///
-/// (`PartialEq` only: the `--budget` operand is an `f64`.)
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// `rader fig1`
     Fig1,
@@ -48,7 +52,7 @@ pub enum Command {
     /// `rader synth ...`
     Synth(SynthOpts),
     /// `rader exhaustive ...`
-    Exhaustive(SweepOpts),
+    Exhaustive(SuiteOptions),
     /// `rader dot [--steals]`
     Dot {
         /// Render the dag under a stealing schedule (Figure-5 reduce tree).
@@ -64,7 +68,7 @@ pub enum Command {
 }
 
 /// Options for `rader suite`.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SuiteOpts {
     /// Paper-scale inputs instead of test-scale.
     pub paper: bool,
@@ -73,30 +77,7 @@ pub struct SuiteOpts {
     /// Write per-workload JSON records to this path.
     pub json: Option<String>,
     /// The sweep flags shared with `rader exhaustive`.
-    pub sweep: SweepOpts,
-}
-
-/// The sweep flags `rader suite` and `rader exhaustive` share.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SweepOpts {
-    /// Sweep threads (defaults to the machine's available parallelism).
-    pub threads: Option<usize>,
-    /// Cap on the reduce-family sync-block size `K`.
-    pub max_k: Option<u32>,
-    /// Cap on the update-family spawn count `M`.
-    pub max_spawn_count: Option<u32>,
-    /// Journal completed sweep chunks: to `PATH.<workload>.ckpt` for
-    /// `suite`, to `PATH` itself for `exhaustive`.
-    pub checkpoint: Option<String>,
-    /// Resume from (and keep appending to) journals named as for
-    /// `--checkpoint`; mutually exclusive with it.
-    pub resume: Option<String>,
-    /// Sweep wall-clock budget in seconds (per workload for `suite`).
-    pub budget: Option<f64>,
-    /// Seed for the deterministic fault-injection plan.
-    pub fault_seed: Option<u64>,
-    /// Spec indices whose sweep runs are forced to panic (repeatable).
-    pub fault_panic_at: Vec<usize>,
+    pub sweep: SuiteOptions,
 }
 
 /// Options for `rader synth`.
@@ -142,70 +123,73 @@ fn take_path(args: &[String], i: &mut usize, flag: &str) -> Result<String, Strin
         .ok_or_else(|| format!("{flag} requires a file path"))
 }
 
-/// Parse `--budget SECS`: a finite, non-negative float. (Zero is legal —
-/// it stops the sweep right after the record pass, which is how tests
-/// pin the fully-partial report.) `f64::from_str` accepts "NaN" and
-/// "inf", so those are rejected here, not by the number parser.
-fn take_budget(args: &[String], i: &mut usize) -> Result<f64, String> {
+/// Parse `--budget SECS`: a non-negative number of seconds that fits a
+/// `Duration`. (Zero is legal — it stops the sweep right after the
+/// record pass, which is how tests pin the fully-partial report.)
+/// `f64::from_str` accepts "NaN", "inf" and "1e300", so the range check
+/// is `Duration::try_from_secs_f64`'s, not the number parser's.
+fn take_budget(args: &[String], i: &mut usize) -> Result<Duration, String> {
     let secs: f64 = take_number(args, i, "--budget")?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(format!(
-            "--budget must be a finite number of seconds >= 0, got {secs}"
-        ));
-    }
-    Ok(secs)
+    Duration::try_from_secs_f64(secs).map_err(|_| {
+        format!(
+            "--budget must be a finite number of seconds >= 0 that fits a duration, got {:?}",
+            args[*i]
+        )
+    })
 }
 
-impl SweepOpts {
-    /// Consume the sweep flag at `args[*i]` (and its operand), returning
-    /// `false` if it is not a sweep flag.
-    fn take_flag(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        match args[*i].as_str() {
-            "--threads" => self.threads = Some(take_positive(args, i, "--threads")?),
-            "--max-k" => self.max_k = Some(take_positive(args, i, "--max-k")? as u32),
-            "--max-spawn-count" => {
-                self.max_spawn_count = Some(take_positive(args, i, "--max-spawn-count")? as u32)
-            }
-            "--checkpoint" => self.checkpoint = Some(take_path(args, i, "--checkpoint")?),
-            "--resume" => self.resume = Some(take_path(args, i, "--resume")?),
-            "--budget" => self.budget = Some(take_budget(args, i)?),
-            "--fault-seed" => self.fault_seed = Some(take_number(args, i, "--fault-seed")?),
-            "--fault-panic-at" => {
-                self.fault_panic_at
-                    .push(take_number(args, i, "--fault-panic-at")?)
-            }
-            _ => return Ok(false),
+/// Consume the sweep flag at `args[*i]` (and its operand) into `o`,
+/// returning `false` if it is not a sweep flag. `--checkpoint` and
+/// `--resume` are mutually exclusive (a resumed sweep already appends
+/// new checkpoints to the journal it continues).
+fn take_sweep_flag(o: &mut SuiteOptions, args: &[String], i: &mut usize) -> Result<bool, String> {
+    match args[*i].as_str() {
+        "--threads" => o.threads = take_positive(args, i, "--threads")?,
+        "--max-k" => o.coverage.max_k = Some(take_positive(args, i, "--max-k")? as u32),
+        "--max-spawn-count" => {
+            o.coverage.max_spawn_count = Some(take_positive(args, i, "--max-spawn-count")? as u32)
         }
-        Ok(true)
+        flag @ ("--checkpoint" | "--resume") => {
+            let path = PathBuf::from(take_path(args, i, flag)?);
+            o.control.checkpoint = match (flag, &o.control.checkpoint) {
+                ("--checkpoint", CheckpointPolicy::Resume(_))
+                | ("--resume", CheckpointPolicy::Record(_)) => {
+                    return Err("--checkpoint and --resume are mutually exclusive (resume \
+                                already appends new checkpoints to the journal it continues)"
+                        .to_string())
+                }
+                ("--checkpoint", _) => CheckpointPolicy::Record(path),
+                _ => CheckpointPolicy::Resume(path),
+            };
+        }
+        "--budget" => o.control.budget = Some(take_budget(args, i)?),
+        "--fault-panic-at" => {
+            o.control
+                .panic_at
+                .insert(take_number(args, i, "--fault-panic-at")?);
+        }
+        _ => return Ok(false),
     }
+    Ok(true)
 }
 
 /// Parse the flags of a sweep command (`args[0]`): the command's own
 /// flags via `own` (which returns `false` for flags it does not know),
-/// then the shared [`SweepOpts`] flags. `--checkpoint` and `--resume` are
-/// mutually exclusive (a resumed sweep already appends new checkpoints
-/// to the journal it continues).
+/// then the shared sweep flags.
 fn parse_sweep(
     args: &[String],
     mut own: impl FnMut(&[String], &mut usize) -> Result<bool, String>,
-) -> Result<SweepOpts, String> {
-    let mut o = SweepOpts::default();
+) -> Result<SuiteOptions, String> {
+    let mut o = SuiteOptions::default();
     let mut i = 1;
     while i < args.len() {
-        if !own(args, &mut i)? && !o.take_flag(args, &mut i)? {
+        if !own(args, &mut i)? && !take_sweep_flag(&mut o, args, &mut i)? {
             return Err(format!(
                 "unknown argument {:?} for `rader {}`",
                 args[i], args[0]
             ));
         }
         i += 1;
-    }
-    if o.checkpoint.is_some() && o.resume.is_some() {
-        return Err(
-            "--checkpoint and --resume are mutually exclusive (resume already \
-             appends new checkpoints to the journal it continues)"
-                .to_string(),
-        );
     }
     Ok(o)
 }
@@ -312,8 +296,8 @@ mod tests {
             panic!("suite did not parse");
         };
         assert_eq!(o.json.as_deref(), Some("out.json"));
-        assert_eq!(o.sweep.threads, Some(4));
-        assert_eq!(o.sweep.max_k, Some(6));
+        assert_eq!(o.sweep.threads, 4);
+        assert_eq!(o.sweep.coverage.max_k, Some(6));
         assert!(o.racy && !o.paper);
     }
 
@@ -325,8 +309,6 @@ mod tests {
             "target/ckpt",
             "--budget",
             "2.5",
-            "--fault-seed",
-            "7",
             "--fault-panic-at",
             "2",
             "--fault-panic-at",
@@ -334,18 +316,22 @@ mod tests {
         ]) else {
             panic!("suite fault-tolerance flags did not parse");
         };
-        assert_eq!(o.checkpoint.as_deref(), Some("target/ckpt"));
-        assert_eq!(o.resume, None);
-        assert_eq!(o.budget, Some(2.5));
-        assert_eq!(o.fault_seed, Some(7));
-        assert_eq!(o.fault_panic_at, vec![2, 5]);
+        assert_eq!(
+            o.control.checkpoint,
+            CheckpointPolicy::Record("target/ckpt".into())
+        );
+        assert_eq!(o.control.budget, Some(Duration::from_millis(2500)));
+        assert_eq!(o.control.panic_at, [2, 5].into());
         let Ok(Command::Exhaustive(o)) =
             parse_strs(&["exhaustive", "--resume", "sweep.ckpt", "--budget", "0"])
         else {
             panic!("exhaustive fault-tolerance flags did not parse");
         };
-        assert_eq!(o.resume.as_deref(), Some("sweep.ckpt"));
-        assert_eq!(o.budget, Some(0.0));
+        assert_eq!(
+            o.control.checkpoint,
+            CheckpointPolicy::Resume("sweep.ckpt".into())
+        );
+        assert_eq!(o.control.budget, Some(Duration::ZERO));
     }
 
     #[test]
@@ -358,7 +344,7 @@ mod tests {
 
     #[test]
     fn malformed_budgets_are_errors() {
-        for bad in ["-1", "NaN", "inf", "abc"] {
+        for bad in ["-1", "NaN", "inf", "abc", "1e300"] {
             let err = parse_strs(&["suite", "--budget", bad]).unwrap_err();
             assert!(err.contains("--budget"), "{bad}: {err}");
         }
@@ -405,12 +391,15 @@ mod tests {
         assert!(err.contains("--verbose"), "{err}");
         // The sweep has one scheduler, one chunk rule and one way to run
         // a spec (replay, re-executing only on divergence); no flag
-        // selects them.
+        // selects them. Injected faults are exact spec indices, with no
+        // seed.
         for removed in [
             &["suite", "--strided"][..],
             &["suite", "--chunk", "4"],
             &["suite", "--reexecute"],
             &["exhaustive", "--reexecute"],
+            &["suite", "--fault-seed", "7"],
+            &["exhaustive", "--fault-seed", "7"],
         ] {
             let err = parse_strs(removed).unwrap_err();
             assert!(err.contains(removed[1]), "{err}");

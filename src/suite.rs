@@ -30,66 +30,30 @@
 //! deterministically reproducible.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use rader_cilk::SerialEngine;
 use rader_core::{
-    coverage, json_escape, CheckpointPolicy, CoverageOptions, FaultPlan, PeerSet, Quarantined,
-    RaceReport, SweepControl, SCHEMA_VERSION,
+    coverage, json_escape, CheckpointPolicy, CoverageOptions, PeerSet, Quarantined, RaceReport,
+    SweepControl, SCHEMA_VERSION,
 };
 use rader_workloads::Workload;
 
-/// Options for [`run_suite`].
-#[derive(Clone, Debug)]
+/// The settings of one sweep: everything `rader suite` and
+/// `rader exhaustive` take from their shared flags.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SuiteOptions {
     /// Worker threads for the per-workload sweep.
     pub threads: usize,
-    /// Cap on the reduce-family sync-block size `K` (`None`: measured K).
-    pub max_k: Option<u32>,
-    /// Cap on the update-family spawn count `M` (`None`: measured M).
-    pub max_spawn_count: Option<u32>,
-    /// Record sweep checkpoints: each workload journals completed chunks
-    /// to `{prefix}.{name}.ckpt` under this path prefix.
-    pub checkpoint: Option<String>,
-    /// Resume from `{prefix}.{name}.ckpt` journals (validated against
-    /// each workload's spec-plan fingerprint), re-sweeping only the
-    /// missing chunks and appending new checkpoints as they complete.
-    /// Workloads whose journal is absent start fresh.
-    pub resume: Option<String>,
-    /// Wall-clock budget for each workload's sweep. Claims are reordered
-    /// by marginal coverage and the verdict turns `partial` when the
-    /// deadline cuts the sweep short.
-    pub budget: Option<Duration>,
-    /// Deterministic fault injection for the sweep (testing the
-    /// quarantine machinery; see [`FaultPlan`]).
-    pub faults: Option<FaultPlan>,
-}
-
-impl SuiteOptions {
-    /// The coverage plan these options select.
-    pub fn coverage(&self) -> CoverageOptions {
-        CoverageOptions {
-            max_k: self.max_k,
-            max_spawn_count: self.max_spawn_count,
-        }
-    }
-
-    /// The controls for one sweep: `label` goes into the checkpoint
-    /// fingerprint, and `journal` maps the `checkpoint`/`resume` operand
-    /// to the journal file.
-    pub fn sweep_control(&self, label: &str, journal: impl Fn(&str) -> PathBuf) -> SweepControl {
-        SweepControl {
-            checkpoint: match (&self.resume, &self.checkpoint) {
-                (Some(path), _) => CheckpointPolicy::Resume(journal(path)),
-                (None, Some(path)) => CheckpointPolicy::Record(journal(path)),
-                (None, None) => CheckpointPolicy::Off,
-            },
-            budget: self.budget,
-            faults: self.faults.clone(),
-            label: label.to_string(),
-        }
-    }
+    /// The coverage plan's `K`/`M` caps.
+    pub coverage: CoverageOptions,
+    /// Checkpointing, budget and injected panics. [`check_workload`]
+    /// applies them to each workload's sweep on its own: the checkpoint
+    /// path is a prefix, each workload journals to `{prefix}.{name}.ckpt`
+    /// and labels its sweep with its name (the `label` set here is
+    /// ignored), and the budget bounds each sweep separately.
+    pub control: SweepControl,
 }
 
 impl Default for SuiteOptions {
@@ -98,12 +62,8 @@ impl Default for SuiteOptions {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            max_k: None,
-            max_spawn_count: None,
-            checkpoint: None,
-            resume: None,
-            budget: None,
-            faults: None,
+            coverage: CoverageOptions::default(),
+            control: SweepControl::default(),
         }
     }
 }
@@ -240,8 +200,10 @@ impl SuiteReport {
 /// (its own spec plan, hence its own fingerprint); the workload name is
 /// also the fingerprint label, so a journal can never be replayed into
 /// the wrong workload even if the files are renamed.
-fn journal_path(prefix: &str, name: &str) -> PathBuf {
-    PathBuf::from(format!("{prefix}.{name}.ckpt"))
+fn journal_path(prefix: &Path, name: &str) -> PathBuf {
+    let mut path = prefix.as_os_str().to_owned();
+    path.push(format!(".{name}.ckpt"));
+    path.into()
 }
 
 /// Check one workload: Peer-Set run (statistics + view-read verdict),
@@ -255,10 +217,18 @@ pub fn check_workload(w: &Workload, opts: &SuiteOptions) -> Result<WorkloadVerdi
     let wall = Instant::now();
     let mut peers = PeerSet::new();
     let stats = SerialEngine::new().run_tool(&mut peers, |cx| (w.run)(cx));
-    let ctl = opts.sweep_control(w.name, |prefix| journal_path(prefix, w.name));
+    let ctl = SweepControl {
+        checkpoint: match &opts.control.checkpoint {
+            CheckpointPolicy::Off => CheckpointPolicy::Off,
+            CheckpointPolicy::Record(p) => CheckpointPolicy::Record(journal_path(p, w.name)),
+            CheckpointPolicy::Resume(p) => CheckpointPolicy::Resume(journal_path(p, w.name)),
+        },
+        label: w.name.to_string(),
+        ..opts.control.clone()
+    };
     let sweep = coverage::exhaustive_check_parallel_ctl(
         |cx| (w.run)(cx),
-        &opts.coverage(),
+        &opts.coverage,
         opts.threads,
         &ctl,
     )?;
@@ -309,13 +279,13 @@ pub fn run_suite(workloads: &[Workload], opts: &SuiteOptions) -> Result<SuiteRep
 /// Validate that `s` is well-formed JSON (one top-level value). A
 /// dependency-free syntax check used by `rader json-check` so CI can
 /// verify `--json` output even where no system JSON tool is installed.
-/// Accepts exactly the grammar of RFC 8259; reports the byte offset of
-/// the first error.
+/// Accepts the grammar of RFC 8259 up to `MAX_JSON_DEPTH` (128) levels
+/// of nesting; reports the byte offset of the first error.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut i = 0usize;
     skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
+    parse_value(b, &mut i, 0)?;
     skip_ws(b, &mut i);
     if i != b.len() {
         return Err(format!("trailing content at byte {i}"));
@@ -356,7 +326,7 @@ pub fn embedded_schema_version(s: &str) -> Option<u64> {
             parse_number(b, &mut i).ok()?;
             return s[num_start..i].parse().ok();
         }
-        parse_value(b, &mut i).ok()?;
+        parse_value(b, &mut i, 1).ok()?;
         skip_ws(b, &mut i);
         match b.get(i) {
             Some(b',') => i += 1,
@@ -371,11 +341,20 @@ fn skip_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
+/// Deepest array/object nesting the JSON checker accepts. The parser
+/// recurses once per level, so without a cap a file of a few hundred
+/// thousand `[` overflows the stack; rader's own reports nest four deep.
+const MAX_JSON_DEPTH: usize = 128;
+
+/// Parse one value nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     match b.get(*i) {
         None => Err(format!("unexpected end of input at byte {i}")),
-        Some(b'{') => parse_object(b, i),
-        Some(b'[') => parse_array(b, i),
+        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {i}"
+        )),
+        Some(b'{') => parse_object(b, i, depth + 1),
+        Some(b'[') => parse_array(b, i, depth + 1),
         Some(b'"') => parse_string(b, i),
         Some(b't') => parse_lit(b, i, "true"),
         Some(b'f') => parse_lit(b, i, "false"),
@@ -385,7 +364,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
+fn parse_object(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     *i += 1; // '{'
     skip_ws(b, i);
     if b.get(*i) == Some(&b'}') {
@@ -404,7 +383,7 @@ fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
         }
         *i += 1;
         skip_ws(b, i);
-        parse_value(b, i)?;
+        parse_value(b, i, depth)?;
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -417,7 +396,7 @@ fn parse_object(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
+fn parse_array(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
     *i += 1; // '['
     skip_ws(b, i);
     if b.get(*i) == Some(&b']') {
@@ -426,7 +405,7 @@ fn parse_array(b: &[u8], i: &mut usize) -> Result<(), String> {
     }
     loop {
         skip_ws(b, i);
-        parse_value(b, i)?;
+        parse_value(b, i, depth)?;
         skip_ws(b, i);
         match b.get(*i) {
             Some(b',') => *i += 1,
@@ -621,6 +600,16 @@ mod tests {
         assert!(validate_json("\"unterminated").is_err());
         assert!(validate_json("01x").is_err());
         assert!(validate_json("[1] trailing").is_err());
+        // Nesting is capped (deep input used to overflow the stack), and
+        // the error names where the cap was hit.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        validate_json(&nested(MAX_JSON_DEPTH)).unwrap();
+        let err = validate_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_JSON_DEPTH}")), "{err}");
+        let err = validate_json(&nested(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep = format!("{{\"a\": {}, \"schema_version\": 2}}", nested(200_000));
+        assert_eq!(embedded_schema_version(&deep), None);
     }
 
     #[test]
