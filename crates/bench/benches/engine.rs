@@ -12,7 +12,7 @@ use rader_bench::timing::Harness;
 use rader_cilk::par::ParRuntime;
 use rader_cilk::{BlockScript, Ctx, EmptyTool, SerialEngine, StealSpec};
 use rader_core::{coverage, CoverageOptions};
-use rader_workloads::{dedup, ferret, fib};
+use rader_workloads::{dedup, ferret, fib, pbfs};
 
 fn main() {
     let mut h = Harness::from_args("engine");
@@ -56,8 +56,10 @@ fn bench_instrumentation_layers(h: &mut Harness) {
 }
 
 /// Exhaustive sweep time (record once, replay per spec) on the two
-/// workloads where per-strand user work (hashing) dominates. Capped K/M
-/// keep the spec count small enough for the CI smoke run.
+/// workloads where per-strand user work (hashing) dominates, plus racy
+/// pbfs, where every spec races on many locations and the per-race
+/// recording path is hot. Capped K/M keep the spec count small enough
+/// for the CI smoke run.
 fn bench_exhaustive_sweep(h: &mut Harness) {
     let opts = CoverageOptions {
         max_k: Some(3),
@@ -71,6 +73,7 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
 
     let stream = dedup::gen_stream(96, 11);
     let corpus = ferret::gen_corpus(48, 3, 12);
+    let graph = pbfs::gen_graph(256, 4, 7);
     let mut g = h.group("exhaustive_sweep");
     g.bench("dedup/replay", || {
         sweep(&|cx| {
@@ -80,6 +83,11 @@ fn bench_exhaustive_sweep(h: &mut Harness) {
     g.bench("ferret/replay", || {
         sweep(&|cx| {
             ferret::ferret_program(cx, &corpus);
+        })
+    });
+    g.bench("pbfs-racy/replay", || {
+        sweep(&|cx| {
+            pbfs::pbfs_racy_program(cx, &graph, 0);
         })
     });
 }

@@ -653,10 +653,10 @@ pub fn exhaustive_check_parallel_ctl(
                 if via {
                     replayed += 1;
                 }
-                if report.has_races() {
-                    findings.push((specs[i].clone(), report.clone()));
-                }
                 merger.merge(&report);
+                if report.has_races() {
+                    findings.push((specs[i].clone(), report));
+                }
             }
             Some(SpecOutcome::Quarantined {
                 spec,

@@ -144,6 +144,62 @@ impl ReportMerger {
     }
 }
 
+/// The first-race-per-location rule of the shadow-memory detectors
+/// (SP-bags, SP-order, SP+): owns a run's [`RaceReport`] plus one
+/// "already reported" bit per location, so recording a race costs O(1)
+/// rather than a scan of every race found so far.
+///
+/// Invariant: a location's bit is set iff the report holds a race on it.
+/// Clearing therefore walks only the reported races, and the bitset grows
+/// only up to the highest raced-on location.
+#[derive(Debug, Default)]
+pub(crate) struct RaceLog {
+    report: RaceReport,
+    raced: Vec<u64>,
+}
+
+impl RaceLog {
+    pub(crate) fn report(&self) -> &RaceReport {
+        &self.report
+    }
+
+    pub(crate) fn label_frame(&mut self, frame: FrameId, label: &'static str) {
+        self.report.frame_labels.insert(frame, label);
+    }
+
+    /// Record a race on `loc` unless one is already reported there.
+    #[inline]
+    pub(crate) fn record(&mut self, loc: Loc, prior: AccessInfo, current: AccessInfo) {
+        let (word, bit) = (loc.index() / 64, 1u64 << (loc.index() % 64));
+        if word >= self.raced.len() {
+            self.raced.resize(word + 1, 0);
+        }
+        if self.raced[word] & bit != 0 {
+            return;
+        }
+        self.raced[word] |= bit;
+        self.report.determinacy.push(DeterminacyRace {
+            loc,
+            prior,
+            current,
+        });
+    }
+
+    /// Take the report, leaving the log empty for the next run.
+    pub(crate) fn take(&mut self) -> RaceReport {
+        // Every set bit belongs to a reported race, so zeroing each
+        // reported location's word clears them all.
+        for r in &self.report.determinacy {
+            self.raced[r.loc.index() / 64] = 0;
+        }
+        std::mem::take(&mut self.report)
+    }
+
+    pub(crate) fn into_report(self) -> RaceReport {
+        self.report
+    }
+}
+
 /// Intern a runtime string as `&'static str`.
 ///
 /// Frame labels are `&'static str` in [`RaceReport`] because programs

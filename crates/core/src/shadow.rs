@@ -9,6 +9,8 @@
 use rader_cilk::{AccessKind, FrameId, Loc, StrandId};
 use rader_dsu::Elem;
 
+use crate::report::AccessInfo;
+
 /// One shadow entry: who last accessed the location, in which bag-forest
 /// element, and with what context (for reporting).
 #[derive(Clone, Copy, Debug)]
@@ -21,6 +23,18 @@ pub struct ShadowEntry {
     pub strand: StrandId,
     /// Access classification for reporting.
     pub kind: AccessKind,
+}
+
+impl ShadowEntry {
+    /// This entry as the prior endpoint of a race.
+    pub(crate) fn access(self, write: bool) -> AccessInfo {
+        AccessInfo {
+            frame: self.frame,
+            strand: self.strand,
+            write,
+            kind: self.kind,
+        }
+    }
 }
 
 /// A reader or writer shadow space over arena locations.

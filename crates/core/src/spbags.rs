@@ -15,7 +15,7 @@
 use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
 use rader_dsu::{Bag, BagForest, BagKind, Elem, ViewId};
 
-use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
+use crate::report::{AccessInfo, RaceLog, RaceReport};
 use crate::shadow::{ShadowEntry, ShadowSpace};
 
 struct Frame {
@@ -30,7 +30,7 @@ pub struct SpBags {
     stack: Vec<Frame>,
     reader: ShadowSpace,
     writer: ShadowSpace,
-    report: RaceReport,
+    races: RaceLog,
     /// Total access checks performed.
     pub checks: u64,
 }
@@ -49,41 +49,19 @@ impl SpBags {
             stack: Vec::with_capacity(64),
             reader: ShadowSpace::new(),
             writer: ShadowSpace::new(),
-            report: RaceReport::default(),
+            races: RaceLog::default(),
             checks: 0,
         }
     }
 
     /// The report accumulated so far.
     pub fn report(&self) -> &RaceReport {
-        &self.report
+        self.races.report()
     }
 
     /// Consume the detector, returning its report.
     pub fn into_report(self) -> RaceReport {
-        self.report
-    }
-
-    fn record_race(
-        &mut self,
-        loc: Loc,
-        prior: ShadowEntry,
-        prior_write: bool,
-        current: AccessInfo,
-    ) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
-            return;
-        }
-        self.report.determinacy.push(DeterminacyRace {
-            loc,
-            prior: AccessInfo {
-                frame: prior.frame,
-                strand: prior.strand,
-                write: prior_write,
-                kind: prior.kind,
-            },
-            current,
-        });
+        self.races.into_report()
     }
 
     fn access(
@@ -111,25 +89,21 @@ impl SpBags {
         if write {
             if let Some(prev) = self.reader.get(loc) {
                 if self.forest.find_info(prev.elem).kind.is_p() {
-                    self.record_race(loc, prev, false, current);
+                    self.races.record(loc, prev.access(false), current);
                 }
             }
-            if let Some(prev) = self.writer.get(loc) {
-                if self.forest.find_info(prev.elem).kind.is_p() {
-                    self.record_race(loc, prev, true, current);
+            // A parallel last writer races and stays; a serial one is
+            // replaced.
+            match self.writer.get(loc) {
+                Some(prev) if self.forest.find_info(prev.elem).kind.is_p() => {
+                    self.races.record(loc, prev.access(true), current);
                 }
-            }
-            let update = match self.writer.get(loc) {
-                None => true,
-                Some(prev) => !self.forest.find_info(prev.elem).kind.is_p(),
-            };
-            if update {
-                self.writer.set(loc, me);
+                _ => self.writer.set(loc, me),
             }
         } else {
             if let Some(prev) = self.writer.get(loc) {
                 if self.forest.find_info(prev.elem).kind.is_p() {
-                    self.record_race(loc, prev, true, current);
+                    self.races.record(loc, prev.access(true), current);
                 }
             }
             let update = match self.reader.get(loc) {
@@ -152,7 +126,7 @@ impl Tool for SpBags {
     }
 
     fn frame_label(&mut self, frame: FrameId, label: &'static str) {
-        self.report.frame_labels.insert(frame, label);
+        self.races.label_frame(frame, label);
     }
 
     fn frame_leave(&mut self, _frame: FrameId, kind: EnterKind) {

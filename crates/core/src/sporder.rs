@@ -28,7 +28,7 @@
 use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
 use rader_dsu::om::{OmList, OmNode};
 
-use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
+use crate::report::{AccessInfo, RaceLog, RaceReport};
 
 /// A strand's position: (English, Hebrew).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,6 +52,18 @@ struct Shadow {
     kind: AccessKind,
 }
 
+impl Shadow {
+    /// This entry as the prior endpoint of a race.
+    fn access(self, write: bool) -> AccessInfo {
+        AccessInfo {
+            frame: self.frame,
+            strand: self.strand,
+            write,
+            kind: self.kind,
+        }
+    }
+}
+
 /// SP-order detector state; attach to a **no-steal** serial run as a
 /// [`Tool`].
 pub struct SpOrder {
@@ -60,7 +72,7 @@ pub struct SpOrder {
     stack: Vec<Frame>,
     reader: Vec<Option<Shadow>>,
     writer: Vec<Option<Shadow>>,
-    report: RaceReport,
+    races: RaceLog,
     /// Total access checks performed.
     pub checks: u64,
 }
@@ -80,19 +92,19 @@ impl SpOrder {
             stack: Vec::with_capacity(64),
             reader: Vec::new(),
             writer: Vec::new(),
-            report: RaceReport::default(),
+            races: RaceLog::default(),
             checks: 0,
         }
     }
 
     /// The report accumulated so far.
     pub fn report(&self) -> &RaceReport {
-        &self.report
+        self.races.report()
     }
 
     /// Consume the detector, returning its report.
     pub fn into_report(self) -> RaceReport {
-        self.report
+        self.races.into_report()
     }
 
     /// Is the strand at `u` logically parallel with the *current* strand?
@@ -114,22 +126,6 @@ impl SpOrder {
             v.resize(loc.index() + 1, None);
         }
         &mut v[loc.index()]
-    }
-
-    fn record_race(&mut self, loc: Loc, prior: Shadow, prior_write: bool, current: AccessInfo) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
-            return;
-        }
-        self.report.determinacy.push(DeterminacyRace {
-            loc,
-            prior: AccessInfo {
-                frame: prior.frame,
-                strand: prior.strand,
-                write: prior_write,
-                kind: prior.kind,
-            },
-            current,
-        });
     }
 
     fn access(
@@ -157,25 +153,22 @@ impl SpOrder {
         if write {
             if let Some(prev) = *Self::slot(&mut self.reader, loc) {
                 if self.parallel_with_current(prev.pos) {
-                    self.record_race(loc, prev, false, current);
+                    self.races.record(loc, prev.access(false), current);
                 }
             }
-            if let Some(prev) = *Self::slot(&mut self.writer, loc) {
-                if self.parallel_with_current(prev.pos) {
-                    self.record_race(loc, prev, true, current);
+            // A parallel last writer races and stays; a serial one is
+            // replaced.
+            let last = *Self::slot(&mut self.writer, loc);
+            match last {
+                Some(prev) if self.parallel_with_current(prev.pos) => {
+                    self.races.record(loc, prev.access(true), current);
                 }
-            }
-            let update = match *Self::slot(&mut self.writer, loc) {
-                None => true,
-                Some(prev) => !self.parallel_with_current(prev.pos),
-            };
-            if update {
-                *Self::slot(&mut self.writer, loc) = Some(me);
+                _ => *Self::slot(&mut self.writer, loc) = Some(me),
             }
         } else {
             if let Some(prev) = *Self::slot(&mut self.writer, loc) {
                 if self.parallel_with_current(prev.pos) {
-                    self.record_race(loc, prev, true, current);
+                    self.races.record(loc, prev.access(true), current);
                 }
             }
             let update = match *Self::slot(&mut self.reader, loc) {
@@ -304,7 +297,7 @@ impl Tool for SpOrder {
     }
 
     fn frame_label(&mut self, frame: FrameId, label: &'static str) {
-        self.report.frame_labels.insert(frame, label);
+        self.races.label_frame(frame, label);
     }
 }
 

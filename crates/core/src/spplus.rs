@@ -24,16 +24,17 @@
 //! joins its bag anyway once the region closes.
 
 use rader_cilk::{AccessKind, EnterKind, FrameId, Loc, StrandId, Tool};
-use rader_dsu::{Bag, BagForest, BagKind, Elem, ViewId};
+use rader_dsu::{Bag, BagForest, BagInfo, BagKind, Elem, ViewId};
 
-use crate::report::{AccessInfo, DeterminacyRace, RaceReport};
+use crate::report::{AccessInfo, RaceLog, RaceReport};
 use crate::shadow::{ShadowEntry, ShadowSpace};
 
 struct Frame {
     elem: Elem,
     s: Bag,
-    /// Stack of P bags; the top carries the current view ID.
-    pstack: Vec<Bag>,
+    /// Index in [`SpPlus::pbags`] of this frame's bottom P bag; the
+    /// frame's P-bag stack is `pbags[pbase..]` while it is the top frame.
+    pbase: usize,
     /// View ID at frame entry (restored at each sync).
     entry_vid: ViewId,
 }
@@ -52,10 +53,14 @@ struct PendingReduce {
 pub struct SpPlus {
     forest: BagForest,
     stack: Vec<Frame>,
+    /// Every active frame's P-bag stack, outermost frame first, each bag
+    /// beside its view ID. A union into a bag keeps the destination's
+    /// view ID, so the cached ID never goes stale.
+    pbags: Vec<(Bag, ViewId)>,
     reader: ShadowSpace,
     writer: ShadowSpace,
     pending_reduce: Option<PendingReduce>,
-    report: RaceReport,
+    races: RaceLog,
     /// Total access checks performed.
     pub checks: u64,
     /// Steals observed (simulated by the engine per the spec).
@@ -76,10 +81,11 @@ impl SpPlus {
         SpPlus {
             forest: BagForest::new(),
             stack: Vec::with_capacity(64),
+            pbags: Vec::with_capacity(64),
             reader: ShadowSpace::new(),
             writer: ShadowSpace::new(),
             pending_reduce: None,
-            report: RaceReport::default(),
+            races: RaceLog::default(),
             checks: 0,
             steals: 0,
             reduces: 0,
@@ -88,12 +94,12 @@ impl SpPlus {
 
     /// The report accumulated so far.
     pub fn report(&self) -> &RaceReport {
-        &self.report
+        self.races.report()
     }
 
     /// Consume the detector, returning its report.
     pub fn into_report(self) -> RaceReport {
-        self.report
+        self.races.into_report()
     }
 
     /// Take the current run's report, leaving the detector ready for
@@ -103,46 +109,21 @@ impl SpPlus {
     /// building fresh ones per run. The cumulative counters (`checks`,
     /// `steals`, `reduces`) are preserved.
     pub fn take_report(&mut self) -> RaceReport {
-        std::mem::take(&mut self.report)
+        self.races.take()
     }
 
-    /// The current view ID: the top P bag's view of the current frame.
-    fn current_vid(&mut self) -> ViewId {
-        let f = self.stack.last().expect("no active frame");
-        let top = *f.pstack.last().expect("empty P stack");
-        self.forest.bag_info(top).vid
+    /// The current frame's top P bag and its view ID.
+    fn top(&self) -> (Bag, ViewId) {
+        *self.pbags.last().expect("empty P stack")
     }
 
     /// Close the in-flight reduce region, folding its accesses' element
     /// into the current top P bag (whose view ID they share).
     fn flush_reduce(&mut self) {
         if let Some(pr) = self.pending_reduce.take() {
-            let f = self.stack.last().expect("no active frame");
-            let top = *f.pstack.last().expect("empty P stack");
+            let (top, _) = self.top();
             self.forest.union_bags(top, pr.sbag);
         }
-    }
-
-    fn record_race(
-        &mut self,
-        loc: Loc,
-        prior: ShadowEntry,
-        prior_write: bool,
-        current: AccessInfo,
-    ) {
-        if self.report.determinacy.iter().any(|r| r.loc == loc) {
-            return;
-        }
-        self.report.determinacy.push(DeterminacyRace {
-            loc,
-            prior: AccessInfo {
-                frame: prior.frame,
-                strand: prior.strand,
-                write: prior_write,
-                kind: prior.kind,
-            },
-            current,
-        });
     }
 
     fn access(
@@ -158,7 +139,8 @@ impl SpPlus {
         if !in_reduce {
             self.flush_reduce();
         }
-        let vid = self.current_vid();
+        let vid = self.top().1;
+        debug_assert_eq!(self.forest.bag_info(self.top().0).vid, vid, "stale view ID");
         let elem = if in_reduce {
             self.pending_reduce
                 .as_ref()
@@ -180,69 +162,48 @@ impl SpPlus {
             kind,
         };
         let view_aware = kind.is_view_aware();
+        // A prior access in a P bag is logically parallel; a view-aware
+        // access races with it only across different views.
+        let races = |info: BagInfo| info.kind.is_p() && !(view_aware && info.vid == vid);
 
         if write {
             // Check against the last reader.
             if let Some(prev) = self.reader.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, false, current);
+                if races(self.forest.find_info(prev.elem)) {
+                    self.races.record(loc, prev.access(false), current);
                 }
             }
-            // Check against the last writer.
-            if let Some(prev) = self.writer.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, true, current);
-                }
-            }
-            // Shadow update: replace only serial entries. A parallel
-            // (P-bag) entry must survive — even against a reduce access
-            // whose view ID matches it, because equal view IDs do not
-            // imply the previous accessor lies under one of the views the
-            // reduce merges (an unstolen sibling can share the frame's
-            // entry view while staying parallel to the reduce). When the
-            // previous accessor *is* under a merged view, the reduce's
-            // element joins its bag at the region flush anyway, so
-            // keeping the old entry yields identical verdicts.
-            let update = match self.writer.get(loc) {
-                None => true,
+            // Check against the last writer, then update: replace only
+            // serial entries. A parallel (P-bag) entry must survive —
+            // even against a reduce access whose view ID matches it,
+            // because equal view IDs do not imply the previous accessor
+            // lies under one of the views the reduce merges (an unstolen
+            // sibling can share the frame's entry view while staying
+            // parallel to the reduce). When the previous accessor *is*
+            // under a merged view, the reduce's element joins its bag at
+            // the region flush anyway, so keeping the old entry yields
+            // identical verdicts.
+            match self.writer.get(loc) {
                 Some(prev) => {
                     let info = self.forest.find_info(prev.elem);
-                    !info.kind.is_p()
+                    if races(info) {
+                        self.races.record(loc, prev.access(true), current);
+                    }
+                    if !info.kind.is_p() {
+                        self.writer.set(loc, me);
+                    }
                 }
-            };
-            if update {
-                self.writer.set(loc, me);
+                None => self.writer.set(loc, me),
             }
         } else {
             if let Some(prev) = self.writer.get(loc) {
-                let info = self.forest.find_info(prev.elem);
-                let races = if view_aware {
-                    info.kind.is_p() && info.vid != vid
-                } else {
-                    info.kind.is_p()
-                };
-                if races {
-                    self.record_race(loc, prev, true, current);
+                if races(self.forest.find_info(prev.elem)) {
+                    self.races.record(loc, prev.access(true), current);
                 }
             }
             let update = match self.reader.get(loc) {
                 None => true,
-                Some(prev) => {
-                    let info = self.forest.find_info(prev.elem);
-                    !info.kind.is_p()
-                }
+                Some(prev) => !self.forest.find_info(prev.elem).kind.is_p(),
             };
             if update {
                 self.reader.set(loc, me);
@@ -260,16 +221,17 @@ impl Tool for SpPlus {
         // sweep reads them once at the end for its totals.
         self.forest.reset();
         self.stack.clear();
+        self.pbags.clear();
         self.reader.reset();
         self.writer.reset();
         self.pending_reduce = None;
-        self.report = RaceReport::default();
+        self.races.take();
     }
 
     fn frame_enter(&mut self, _frame: FrameId, _kind: EnterKind) {
         self.flush_reduce();
-        let vid = match self.stack.last() {
-            Some(_) => self.current_vid(),
+        let vid = match self.pbags.last() {
+            Some(&(_, vid)) => vid,
             None => ViewId(0),
         };
         let elem = self.forest.make_elem();
@@ -278,26 +240,32 @@ impl Tool for SpPlus {
         self.stack.push(Frame {
             elem,
             s,
-            pstack: vec![p],
+            pbase: self.pbags.len(),
             entry_vid: vid,
         });
+        self.pbags.push((p, vid));
     }
 
     fn frame_label(&mut self, frame: FrameId, label: &'static str) {
-        self.report.frame_labels.insert(frame, label);
+        self.races.label_frame(frame, label);
     }
 
     fn frame_leave(&mut self, _frame: FrameId, kind: EnterKind) {
         self.flush_reduce();
         let g = self.stack.pop().expect("leave with empty stack");
-        debug_assert_eq!(g.pstack.len(), 1, "child returned with unreduced views");
+        debug_assert_eq!(
+            self.pbags.len(),
+            g.pbase + 1,
+            "child returned with unreduced views"
+        );
+        self.pbags.truncate(g.pbase);
         let Some(f) = self.stack.last() else {
             return;
         };
         match kind {
             EnterKind::Spawn => {
                 // Spawned G returns: Top(F.P) ∪= G.S.
-                let top = *f.pstack.last().expect("empty P stack");
+                let (top, _) = self.top();
                 self.forest.union_bags(top, g.s);
             }
             _ => {
@@ -311,44 +279,43 @@ impl Tool for SpPlus {
         self.flush_reduce();
         let f = self.stack.last().expect("sync with empty stack");
         debug_assert_eq!(
-            f.pstack.len(),
-            1,
+            self.pbags.len(),
+            f.pbase + 1,
             "sync reached with unreduced views (engine must reduce first)"
         );
-        let (s, top, entry_vid) = (f.s, *f.pstack.last().unwrap(), f.entry_vid);
+        let (s, entry_vid) = (f.s, f.entry_vid);
         // F.S ∪= Top(F.P); Top(F.P) = fresh bag with the frame's view.
+        let (top, _) = self.top();
         self.forest.union_bags(s, top);
         let fresh = self.forest.make_bag(BagKind::P, entry_vid);
-        let f = self.stack.last_mut().unwrap();
-        f.pstack.clear();
-        f.pstack.push(fresh);
+        *self.pbags.last_mut().expect("empty P stack") = (fresh, entry_vid);
     }
 
     fn stolen_continuation(&mut self, _frame: FrameId, vid: ViewId) {
         self.flush_reduce();
         self.steals += 1;
+        assert!(!self.stack.is_empty(), "steal with empty stack");
         let p = self.forest.make_bag(BagKind::P, vid);
-        self.stack
-            .last_mut()
-            .expect("steal with empty stack")
-            .pstack
-            .push(p);
+        self.pbags.push((p, vid));
     }
 
     fn reduce_merge(&mut self, _frame: FrameId, _dst: ViewId, _src: ViewId) {
         self.flush_reduce();
         self.reduces += 1;
-        let f = self.stack.last_mut().expect("reduce with empty stack");
-        let popped = f.pstack.pop().expect("reduce with single-bag P stack");
-        let top = *f.pstack.last().expect("reduce emptied the P stack");
+        let f = self.stack.last().expect("reduce with empty stack");
+        assert!(
+            self.pbags.len() > f.pbase + 1,
+            "reduce with single-bag P stack"
+        );
+        let (popped, _) = self.pbags.pop().expect("empty P stack");
+        let (top, vid) = self.top();
         // Union the newer bag into the older; the dominating view ID
         // survives (destination-wins union).
         self.forest.union_bags(top, popped);
-        debug_assert_eq!(self.forest.bag_info(top).vid, _dst);
+        debug_assert_eq!(vid, _dst);
         // The reduce runs as its own invocation; its accesses join the
         // merged P bag when the region closes.
         let elem = self.forest.make_elem();
-        let vid = self.forest.bag_info(top).vid;
         let sbag = self.forest.make_bag_with(BagKind::S, vid, elem);
         self.pending_reduce = Some(PendingReduce { elem, sbag });
     }
@@ -603,5 +570,46 @@ mod tests {
         assert_eq!(tool.steals, stats.steals);
         assert_eq!(tool.reduces, stats.reduce_merges);
         assert!(tool.steals > 0);
+    }
+
+    #[test]
+    fn pooled_detector_forgets_race_marks_between_runs() {
+        // 200 cells (several bitset words), each raced on three times:
+        // a spawned child writes them all, then the continuation writes
+        // them in reverse, three passes, before the sync.
+        const N: usize = 200;
+        let program = |cx: &mut Ctx<'_>| {
+            let a = cx.alloc(N);
+            cx.spawn(move |cx| {
+                for i in 0..N {
+                    cx.write_idx(a, i, 1);
+                }
+            });
+            for pass in 0..3 {
+                for i in (0..N).rev() {
+                    cx.write_idx(a, i, pass);
+                }
+            }
+            cx.sync();
+        };
+        let mut tool = SpPlus::new();
+        let mut run = |tool: &mut SpPlus| {
+            SerialEngine::new().run_tool(tool, program);
+        };
+        run(&mut tool);
+        let first = tool.report().clone();
+        // The next run's `begin_run` alone must clear the marks ...
+        run(&mut tool);
+        let second = tool.take_report();
+        // ... and so must `take_report` followed by `begin_run`.
+        run(&mut tool);
+        let third = tool.into_report();
+
+        // One record per location, in detection order (the reverse pass).
+        let locs: Vec<usize> = first.determinacy.iter().map(|r| r.loc.index()).collect();
+        let base = locs[N - 1];
+        assert_eq!(locs, (0..N).rev().map(|i| base + i).collect::<Vec<_>>());
+        assert_eq!(second, first);
+        assert_eq!(third, first);
     }
 }

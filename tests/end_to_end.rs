@@ -7,7 +7,7 @@ use rader::core::{
 };
 use rader::prelude::*;
 use rader::workloads::{self, fig1, Scale};
-use rader_cilk::{BlockScript, ViewMem, ViewMonoid};
+use rader_cilk::{BlockScript, ProgramTrace, ViewMem, ViewMonoid};
 
 /// Every benchmark in the suite validates its result (each workload
 /// asserts against its serial reference internally) and is clean under
@@ -198,14 +198,22 @@ impl ViewMonoid for Touchy {
 fn sweep_matches_per_spec_reexecution() {
     use rader::cilk::synth::{gen_program, run_synth, GenConfig};
     use rader::core::coverage::{reduce_coverage_specs, update_coverage_specs};
-    use rader::workloads::pbfs;
+    use rader::workloads::{knapsack, pbfs};
     use std::sync::Arc;
 
     /// Sweep `program`, assert it agrees with the reference, and return
-    /// the sweep with the reference's SP+ check count.
-    fn check(name: &str, program: &(dyn Fn(&mut Ctx<'_>) + Sync)) -> (ExhaustiveReport, u64) {
+    /// the sweep with the reference's SP+ check count. The reference runs
+    /// every spec under a fresh SP+, by re-execution or, with `replay`,
+    /// by replaying the program's no-steal trace (re-executing exactly
+    /// where the sweep falls back).
+    fn check(
+        name: &str,
+        program: &(dyn Fn(&mut Ctx<'_>) + Sync),
+        replay: bool,
+    ) -> (ExhaustiveReport, u64) {
         let stats = SerialEngine::new().run(program);
         let (k, m) = (stats.max_sync_block, stats.max_spawn_count);
+        let trace = replay.then(|| ProgramTrace::record(program));
         let mut specs = vec![StealSpec::None];
         specs.extend(update_coverage_specs(m));
         specs.extend(reduce_coverage_specs(k));
@@ -214,7 +222,13 @@ fn sweep_matches_per_spec_reexecution() {
         let mut checks = 0u64;
         for s in &specs {
             let mut tool = SpPlus::new();
-            SerialEngine::with_spec(s.clone()).run_tool(&mut tool, program);
+            let engine = SerialEngine::with_spec(s.clone());
+            if trace
+                .as_ref()
+                .is_none_or(|t| engine.replay_tool(&mut tool, t).is_err())
+            {
+                engine.run_tool(&mut tool, program);
+            }
             checks += tool.checks;
             let r = tool.into_report();
             if r.has_races() {
@@ -239,7 +253,7 @@ fn sweep_matches_per_spec_reexecution() {
         cx.reducer_update(h, &[2]);
         cx.sync();
     };
-    let (sweep, checks) = check("touchy", &touchy);
+    let (sweep, checks) = check("touchy", &touchy, false);
     assert!(sweep.report.has_races());
     assert_eq!(sweep.replayed, sweep.runs);
     assert_eq!(sweep.spplus_checks, checks);
@@ -254,7 +268,7 @@ fn sweep_matches_per_spec_reexecution() {
         let run = |cx: &mut Ctx<'_>| {
             run_synth(cx, &prog);
         };
-        let (sweep, checks) = check(&format!("aliasing seed {seed}"), &run);
+        let (sweep, checks) = check(&format!("aliasing seed {seed}"), &run, false);
         if seed == 0 {
             // A diverging replay's checks count as well as its fallback's.
             assert!(sweep.replayed < sweep.runs, "the fallback never engaged");
@@ -265,9 +279,13 @@ fn sweep_matches_per_spec_reexecution() {
     }
 
     let g = pbfs::gen_graph(64, 4, 7);
-    let (sweep, checks) = check("pbfs", &|cx| {
-        pbfs::pbfs_program(cx, &g, 0);
-    });
+    let (sweep, checks) = check(
+        "pbfs",
+        &|cx| {
+            pbfs::pbfs_program(cx, &g, 0);
+        },
+        false,
+    );
     assert!(!sweep.report.has_races(), "pbfs is race-free");
     assert_eq!(sweep.replayed, sweep.runs);
     let (a, b) = (sweep.spplus_checks as f64, checks as f64);
@@ -276,6 +294,36 @@ fn sweep_matches_per_spec_reexecution() {
         "check-count drift exceeded the documented ±1% bound: \
          sweep {a} vs re-execution {b}"
     );
+
+    // Racy corpora: every spec races, so the pooled detector must forget
+    // each run's race marks before the next. knapsack-racy feeds a racy
+    // mid-computation `get` into its pruning, so it is not ostensibly
+    // deterministic: a re-execution under a steal spec explores a
+    // different search tree than the recorded one, outside the replay
+    // contract (DESIGN.md §5b). Its reference therefore replays too.
+    let (pbfs_racy, pbfs_checks) = check(
+        "pbfs-racy",
+        &|cx| {
+            pbfs::pbfs_racy_program(cx, &g, 0);
+        },
+        false,
+    );
+    let inst = knapsack::gen_instance(8, 3);
+    let (knapsack_racy, knapsack_checks) = check(
+        "knapsack-racy",
+        &|cx| {
+            knapsack::knapsack_racy_program(cx, &inst);
+        },
+        true,
+    );
+    for (name, sweep, checks) in [
+        ("pbfs-racy", pbfs_racy, pbfs_checks),
+        ("knapsack-racy", knapsack_racy, knapsack_checks),
+    ] {
+        assert_eq!(sweep.findings.len(), sweep.runs, "{name}: every spec races");
+        assert_eq!(sweep.replayed, sweep.runs, "{name}");
+        assert_eq!(sweep.spplus_checks, checks, "{name}");
+    }
 }
 
 #[test]
